@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.memory_planner import BUCKET_SCRATCH_SUFFIXES, LiveArena
 from repro.core.padding import PackedSeqs
-from repro.core.parallel import inplace_executor
 
 #: default bucket quantization; 1 == one bucket per distinct length
 DEFAULT_BUCKET_STEP = 1
@@ -143,11 +142,10 @@ def acquire_bucket_scratch(
 ) -> list[dict[str, np.ndarray]]:
     """Pre-acquire every bucket's scratch buffers from the arena.
 
-    All takes happen serially *before* any bucket work runs, so buckets
-    may then execute on a worker pool without ever touching the (non
-    thread-safe) arena.  Buffer names follow the canonical
-    ``mha.{i}.{suffix}`` scheme :func:`~repro.core.memory_planner.plan_live_forward`
-    plans with.
+    All takes happen *before* any bucket work runs, so the live
+    placement sequence matches the symbolic plan.  Buffer names follow
+    the canonical ``mha.{i}.{suffix}`` scheme
+    :func:`~repro.core.memory_planner.plan_live_forward` plans with.
     """
     hidden = num_heads * head_size
     bufs = []
@@ -247,10 +245,8 @@ def bucketed_sdpa(
     to fp32 rounding.  Returns the packed ``[T, H]`` attention output.
 
     ``scratch`` routes every large per-bucket intermediate through the
-    live arena (bit-identical ``out=`` rewrites of the same ops).
-    Buckets run on the current :class:`~repro.core.parallel.BucketExecutor`
-    — they share no data and scatter to disjoint output rows, so the
-    fan-out is race-free; scratch is pre-acquired serially beforehand.
+    live arena (bit-identical ``out=`` rewrites of the same ops); every
+    bucket's scratch is acquired before the first bucket runs.
     """
     tokens, three_hidden = qkv_packed.shape
     hidden = three_hidden // 3
@@ -310,7 +306,10 @@ def bucketed_sdpa(
             flat_valid = bucket.valid.ravel()
             out[bucket.rows.ravel()[flat_valid]] = merged[flat_valid]
 
-    inplace_executor().map(run_bucket, range(len(buckets)))
+    # one call per bucket: each bucket's temporaries are freed before the
+    # next bucket allocates its own, which bounds the peak at one bucket
+    for i in range(len(buckets)):
+        run_bucket(i)
     if scratch is not None:
         release_bucket_scratch(scratch, len(buckets))
     return out

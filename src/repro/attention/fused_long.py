@@ -34,7 +34,6 @@ from repro.attention.bucketed import (
 from repro.core.engine import is_vectorized
 from repro.core.memory_planner import LiveArena
 from repro.core.padding import PackedSeqs
-from repro.core.parallel import inplace_executor
 from repro.gpusim.memory import BYTES_PER_FP32
 from repro.gpusim.stream import ExecutionContext, resolve_context
 from repro.kernels.grouped_gemm import (
@@ -235,8 +234,7 @@ def _bucketed_fused_long(
     The reference path runs its softmax transform and P·V product through
     the float64 partial-statistics arrays; this path mirrors that dtype
     flow (fp32 scores, fp64 transform + P·V) so the two engines agree to
-    fp64 rounding, not merely 1e-6.  Buckets run on the current
-    :class:`~repro.core.parallel.BucketExecutor`.  ``scratch`` is honoured
+    fp64 rounding, not merely 1e-6.  ``scratch`` is honoured
     only for float64 inputs: the allocating path *upcasts* fp32 scores
     through the fp64 statistics broadcast, which an in-place transform
     cannot reproduce.  (The partial-stats arrays stay small and
@@ -317,7 +315,10 @@ def _bucketed_fused_long(
             flat_valid = bucket.valid.ravel()
             out[bucket.rows.ravel()[flat_valid]] = merged[flat_valid]
 
-    inplace_executor().map(run_bucket, range(len(buckets)))
+    # one call per bucket: each bucket's temporaries are freed before the
+    # next bucket allocates its own, which bounds the peak at one bucket
+    for i in range(len(buckets)):
+        run_bucket(i)
     if bufs is not None:
         release_bucket_scratch(scratch, len(buckets))
     return out

@@ -8,12 +8,12 @@ takes to execute a forward pass — which is entirely separate from the
 engine change moves only the first clock; this harness asserts the second
 stays bit-identical while it measures the first.
 
-Three measurements are reported:
+The sections reported:
 
 * ``forward`` — the full model forward (the honest end-to-end number).
-  On a single-core host the reachable speedup is Amdahl-capped: most of
-  the wall time is BLAS GEMMs and the erf-based GELU, identical work in
-  both engines, so end-to-end gains are modest by construction.
+  The reachable speedup is Amdahl-capped: most of the wall time is BLAS
+  GEMMs and the erf-based GELU, identical work in both engines, so
+  end-to-end gains are modest by construction.
 * ``attention`` — the MHA hot path the engines actually differ on
   (per-unit Python loops vs length-bucketed batched matmuls).
 * ``packing`` — zero-padding metadata construction, where the
@@ -43,17 +43,13 @@ Three measurements are reported:
   zero KV overflow allocations, and bitwise oracle legs (clean and
   chaos with forced eviction/resume) — all hard ``--check`` gates,
   because every number is modelled-clock deterministic.
-* ``host_parallel`` — the Amdahl-cap breaker: one tile-quantized
-  megabatch run serially vs under the configured executor (process
-  workers fork over contiguous segment chunks and mutate a
-  shared-memory arena; thread workers share the buffer directly).
-  Parallel outputs must be **bitwise** serial-equal with an identical
-  launch stream; the nested ``fast_gelu`` block swaps in the tanh GELU
-  and must land within the end-to-end tolerance ``layers *
+* ``fast_gelu`` — the opt-in tanh GELU vs the exact erf GELU on one
+  tile-quantized megabatch: host wall time of each, and a hard gate
+  that the fast output lands within the end-to-end tolerance ``layers *
   FAST_GELU_ATOL`` (per-application error compounds at most linearly
-  through the depth) without touching the stream.
-  The 1.15× floor is enforced only where it is reachable (>= 2 cores,
-  >= 2 workers, ``fork`` available) and warns elsewhere.
+  through the depth) without touching the launch stream.
+
+Every section runs on one serial host path; there is no worker fan-out.
 
 Results are written to ``BENCH_wallclock.json``; required schema keys are
 ``config``, ``wall_us``, ``modelled_us`` and ``speedup_vs_reference``.
@@ -62,19 +58,18 @@ Sections may carry a ``floor`` — the minimum acceptable
 ``speedup_vs_reference`` the ``--check`` gate enforces.  A section
 explicitly marked ``amdahl_capped`` or ``wall_clock_floor`` turns a
 floor breach into a *warning* instead of a failure (see
-:func:`check_warnings`): the full forward on a single-core host is
-dominated by BLAS GEMMs and the erf-based GELU, identical work in both
-engines, so PR 1 never promised end-to-end wall-clock wins there, and a
-wall-clock-measured speedup can sink on a loaded CI box without any
-code regression.  Hard floors are reserved for modelled-clock metrics
-(the ``continuous_serving`` section), which are deterministic.
+:func:`check_warnings`): the full forward is dominated by BLAS GEMMs
+and the erf-based GELU, identical work in both engines, so the engine
+never promised end-to-end wall-clock wins, and a wall-clock-measured
+speedup can sink on a loaded CI box without any code regression.  Hard
+floors are reserved for modelled-clock metrics (the
+``continuous_serving`` section), which are deterministic.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import platform
 import time
 import tracemalloc
@@ -96,12 +91,6 @@ from repro.core.padding import (
     default_packing_cache,
     merge_request_lengths,
     packing_from_mask,
-)
-from repro.core.parallel import (
-    SERIAL_EXECUTOR,
-    fork_available,
-    make_executor,
-    use_executor,
 )
 from repro.gpusim.graph import GraphCache
 from repro.gpusim.profiler import CacheStats
@@ -620,35 +609,29 @@ def _sharded_serving_section(
     return section
 
 
-def _host_parallel_section(
+def _fast_gelu_section(
     config: BertConfig,
     opt: Any,
     data: Any,
     max_seq_len: int,
     repeats: int,
-    executor: str,
-    workers: int,
     seed: int,
 ) -> dict[str, Any] | None:
-    """Megabatch segment fan-out: serial vs the configured executor.
+    """Fast (tanh) GELU vs the exact erf GELU on one megabatch tile.
 
     The whole batch is merged into one tile-quantized megabatch (the
-    continuous-serving hot path) and run three ways on the numeric
-    plane: serially, under the configured executor (process workers
-    mutate a shared-memory arena; thread workers the same buffer
-    directly), and under the fast-GELU preset.  The parallel run must
-    be **bitwise** equal to the serial one and leave the modelled
-    launch chain untouched; fast-GELU must land within the documented
-    end-to-end tolerance — one GELU application per layer, each within
-    :data:`~repro.kernels.activation.FAST_GELU_ATOL`, compounds at
-    most linearly in depth (layernorm renormalises between layers, so
-    there is no multiplicative blow-up), hence ``layers * atol`` — with
-    an identical launch stream.  ``None`` when the preset keeps padding
-    (no packed pipeline to fan out).
+    continuous-serving hot path) and run on the numeric plane under the
+    preset and under its ``gelu_variant="tanh"`` twin.  Fast-GELU must
+    land within the documented end-to-end tolerance — one GELU
+    application per layer, each within
+    :data:`~repro.kernels.activation.FAST_GELU_ATOL`, compounds at most
+    linearly in depth (layernorm renormalises between layers, so there
+    is no multiplicative blow-up), hence ``layers * atol`` — with an
+    identical launch stream.  ``None`` when the preset keeps padding
+    (no packed pipeline to merge into a tile).
     """
     if not opt.remove_padding:
         return None
-    cores = os.cpu_count() or 1
     seq_lens = np.asarray(data.mask.sum(axis=1), dtype=np.int64)
     total = int(seq_lens.sum())
     tile = -(-total // 512) * 512
@@ -658,90 +641,49 @@ def _host_parallel_section(
     x_tile = np.zeros((tile, config.hidden_size), dtype=flat.dtype)
     x_tile[:total] = flat[packing.gather_idx]
 
-    def tile_model(
-        run_opt: Any, shared: bool, ex: Any
-    ) -> BertEncoderModel:
+    def tile_model(run_opt: Any) -> BertEncoderModel:
         model = BertEncoderModel(
-            config, opt=run_opt, seed=seed, arena=LiveArena(shared=shared)
+            config, opt=run_opt, seed=seed, arena=LiveArena()
         )
-        with use_executor(ex):  # warm up: arena reserve + first forward
-            model.forward_packed(x_tile, mega, ctx=NullContext())
+        # warm up: arena reserve + first forward
+        model.forward_packed(x_tile, mega, ctx=NullContext())
         return model
 
-    def stream_of(model: BertEncoderModel, ex: Any) -> tuple:
+    def stream_of(model: BertEncoderModel) -> tuple:
         ctx = ExecutionContext()
-        with use_executor(ex):
-            out = model.forward_packed(x_tile, mega, ctx=ctx)
-        return out, ctx
+        return model.forward_packed(x_tile, mega, ctx=ctx), ctx
 
-    def wall_of(model: BertEncoderModel, ex: Any) -> float:
-        with use_executor(ex):
-            return _time_best_of(
-                lambda: model.forward_packed(
-                    x_tile, mega, ctx=NullContext()
-                ),
-                repeats,
-            )
+    def wall_of(model: BertEncoderModel) -> float:
+        return _time_best_of(
+            lambda: model.forward_packed(x_tile, mega, ctx=NullContext()),
+            repeats,
+        )
 
-    # the serial reference and the fast-GELU run pin SERIAL_EXECUTOR so
-    # an ambient executor (e.g. the CLI's use_workers wrapper) cannot
-    # leak fan-out into the baselines
-    serial_model = tile_model(opt, False, SERIAL_EXECUTOR)
-    serial_out, serial_ctx = stream_of(serial_model, SERIAL_EXECUTOR)
-    serial_out = serial_out.copy()
-    serial_wall = wall_of(serial_model, SERIAL_EXECUTOR)
+    exact_model = tile_model(opt)
+    exact_out, exact_ctx = stream_of(exact_model)
+    exact_out = exact_out.copy()
+    exact_wall = wall_of(exact_model)
 
-    ex = make_executor(executor, workers)
-    par_model = tile_model(opt, ex.needs_shared_memory, ex)
-    par_wall = wall_of(par_model, ex)
-    par_out, par_ctx = stream_of(par_model, ex)
-    outputs_bitwise = bool(np.array_equal(par_out, serial_out))
-    streams_identical = _launches_identical(
-        serial_ctx.records, par_ctx.records
-    )
-    modelled_equal = serial_ctx.elapsed_us() == par_ctx.elapsed_us()
-    ex.shutdown()
+    fast_model = tile_model(dataclasses.replace(opt, gelu_variant="tanh"))
+    fast_out, fast_ctx = stream_of(fast_model)
+    fast_diff = float(np.max(np.abs(fast_out - exact_out)))
+    fast_wall = wall_of(fast_model)
 
-    fast_opt = dataclasses.replace(opt, gelu_variant="tanh")
-    fast_model = tile_model(fast_opt, False, SERIAL_EXECUTOR)
-    fast_out, fast_ctx = stream_of(fast_model, SERIAL_EXECUTOR)
-    fast_diff = float(np.max(np.abs(fast_out - serial_out)))
-    fast_wall = wall_of(fast_model, SERIAL_EXECUTOR)
-
+    atol = config.num_layers * FAST_GELU_ATOL
     return {
-        "cores": cores,
-        "executor": ex.kind,
-        "workers": ex.workers,
-        "fork_available": fork_available(),
         "tile": tile,
         "segments": int(seq_lens.shape[0]),
         "total_tokens": total,
-        "wall_us": par_wall,
-        "reference_wall_us": serial_wall,
-        "speedup_vs_reference": serial_wall / par_wall,
-        # the Amdahl-cap breaker needs >= 2 cores and a real fan-out;
-        # without them the floor breach warns instead of failing
-        "floor": 1.15,
-        "amdahl_capped": (
-            cores < 2 or ex.workers < 2 or not fork_available()
+        "wall_us": fast_wall,
+        "reference_wall_us": exact_wall,
+        "speedup_vs_exact": exact_wall / fast_wall,
+        "max_abs_diff": fast_diff,
+        "atol_per_gelu": FAST_GELU_ATOL,
+        "atol": atol,
+        "within_atol": bool(fast_diff <= atol),
+        "launch_streams_identical": _launches_identical(
+            exact_ctx.records, fast_ctx.records
         ),
-        "outputs_bitwise_equal": outputs_bitwise,
-        "launch_streams_identical": streams_identical,
-        "modelled_us_equal": modelled_equal,
-        "fast_gelu": {
-            "wall_us": fast_wall,
-            "reference_wall_us": serial_wall,
-            "speedup_vs_exact": serial_wall / fast_wall,
-            "max_abs_diff": fast_diff,
-            "atol_per_gelu": FAST_GELU_ATOL,
-            "atol": config.num_layers * FAST_GELU_ATOL,
-            "within_atol": bool(
-                fast_diff <= config.num_layers * FAST_GELU_ATOL
-            ),
-            "launch_streams_identical": _launches_identical(
-                serial_ctx.records, fast_ctx.records
-            ),
-        },
     }
 
 
@@ -755,8 +697,6 @@ def run_wallclock_bench(
     repeats: int = 3,
     seed: int = 0,
     serve_requests: int = 48,
-    executor: str = "process",
-    workers: int | None = None,
     devices: int = 8,
     shard: str = "dp",
     telemetry: Any = None,
@@ -775,8 +715,6 @@ def run_wallclock_bench(
             f"{sorted(_PRESETS_BY_LABEL)}"
         )
     opt = _PRESETS_BY_LABEL[preset]
-    if workers is None:
-        workers = os.cpu_count() or 1
     config = BertConfig(num_layers=layers)
     data = make_batch(
         batch, max_seq_len, config.hidden_size, alpha=alpha, seed=seed
@@ -1007,9 +945,9 @@ def run_wallclock_bench(
             packing_repeats,
         )
 
-    # ---- host-path parallelism: the megabatch segment fan-out --------
-    host_parallel_section = _host_parallel_section(
-        config, opt, data, max_seq_len, repeats, executor, workers, seed
+    # ---- fast (tanh) GELU vs exact on one megabatch tile -------------
+    fast_gelu_section = _fast_gelu_section(
+        config, opt, data, max_seq_len, repeats, seed
     )
 
     # ---- multi-device sharded serving --------------------------------
@@ -1025,8 +963,6 @@ def run_wallclock_bench(
             "repeats": repeats,
             "seed": seed,
             "serve_requests": serve_requests,
-            "executor": executor,
-            "workers": workers,
             "devices": devices,
             "shard": shard,
             "hidden_size": config.hidden_size,
@@ -1047,8 +983,8 @@ def run_wallclock_bench(
                 "wall_us": wall[VECTORIZED],
                 "reference_wall_us": wall[LOOPED],
                 "speedup_vs_reference": wall[LOOPED] / wall[VECTORIZED],
-                # single-core end-to-end is BLAS/GELU-bound: a floor
-                # breach here warns instead of failing --check
+                # end-to-end is BLAS/GELU-bound: a floor breach here
+                # warns instead of failing --check
                 "floor": 1.0,
                 "amdahl_capped": True,
             },
@@ -1067,8 +1003,8 @@ def run_wallclock_bench(
             "graph_replay": graph_replay_section,
             "steady_state_alloc": steady_state_alloc_section,
             **(
-                {"host_parallel": host_parallel_section}
-                if host_parallel_section is not None
+                {"fast_gelu": fast_gelu_section}
+                if fast_gelu_section is not None
                 else {}
             ),
             **(
@@ -1120,11 +1056,10 @@ def run_wallclock_bench(
         "notes": (
             "wall_us is host (numpy) execution time of the vectorized "
             "engine; modelled_us is simulated GPU time and is identical "
-            "under both engines. End-to-end speedup on this single-core "
-            "host is Amdahl-limited: BLAS GEMMs and the erf-based GELU "
-            "dominate the forward and are identical work in both engines; "
-            "the engine's wins concentrate in the attention and packing "
-            "sections."
+            "under both engines. End-to-end speedup is Amdahl-limited: "
+            "BLAS GEMMs and the erf-based GELU dominate the forward and "
+            "are identical work in both engines; the engine's wins "
+            "concentrate in the attention and packing sections."
         ),
     }
     return result
@@ -1182,16 +1117,13 @@ def format_summary(result: dict[str, Any]) -> str:
             f"{alloc['arena_footprint_bytes'] / (1 << 20):.1f} MiB "
             f"({alloc['arena_overflow_allocs']} overflow allocs)"
         )
-    hp = result["sections"].get("host_parallel")
-    if hp is not None:
-        fg = hp["fast_gelu"]
+    fg = result["sections"].get("fast_gelu")
+    if fg is not None:
         lines.append(
-            f"  host-par  : {hp['wall_us'] / 1e3:9.2f} ms "
-            f"{hp['executor']}({hp['workers']}) vs "
-            f"{hp['reference_wall_us'] / 1e3:9.2f} ms serial "
-            f"({hp['speedup_vs_reference']:.2f}x, {hp['cores']} cores); "
-            f"fast-gelu {fg['speedup_vs_exact']:.2f}x, "
-            f"|diff| {fg['max_abs_diff']:.1e} <= {fg['atol']:g}"
+            f"  fast-gelu : {fg['wall_us'] / 1e3:9.2f} ms tanh "
+            f"vs {fg['reference_wall_us'] / 1e3:9.2f} ms erf "
+            f"({fg['speedup_vs_exact']:.2f}x); |diff| "
+            f"{fg['max_abs_diff']:.1e} <= {fg['atol']:g}"
         )
     sharded = result["sections"].get("sharded_serving")
     if sharded is not None:
@@ -1377,23 +1309,8 @@ def check_invariants(result: dict[str, Any]) -> list[str]:
                 f"arena performed {alloc['arena_overflow_allocs']} "
                 "overflow allocations (pre-sizing should leave zero)"
             )
-    hp = result["sections"].get("host_parallel")
-    if hp is not None:
-        # the parallel path's correctness invariants are deterministic,
-        # so they gate hard regardless of core count
-        if not hp["outputs_bitwise_equal"]:
-            failures.append(
-                f"{hp['executor']} executor output != serial output"
-            )
-        if not hp["launch_streams_identical"]:
-            failures.append(
-                f"{hp['executor']} executor changed the launch stream"
-            )
-        if not hp["modelled_us_equal"]:
-            failures.append(
-                f"{hp['executor']} executor changed modelled_us"
-            )
-        fg = hp["fast_gelu"]
+    fg = result["sections"].get("fast_gelu")
+    if fg is not None:
         if not fg["within_atol"]:
             failures.append(
                 f"fast-gelu max |diff| {fg['max_abs_diff']:.2e} exceeds "

@@ -6,18 +6,16 @@ Commands:
 * ``profile`` — run one configuration and print the kernel breakdown,
   optionally dumping a chrome://tracing JSON;
 * ``compare`` — one-line end-to-end framework comparison for a shape;
-* ``bench`` — wall-clock benchmark of the host execution engines
-  (``--quick`` for a CI smoke run, ``--out`` to write the JSON,
-  ``--check`` to gate on the output/stream-identity invariants,
-  ``--workers``/``--executor`` to pick the fan-out: a thread pool or
-  forked processes over shared-memory arena segments); prints the
-  cache hit/miss/eviction table;
+* ``bench`` — wall-clock benchmark of the host execution engines on one
+  serial path (``--quick`` for a CI smoke run, ``--out`` to write the
+  JSON, ``--check`` to gate on the output/stream-identity invariants and
+  the fast-GELU accuracy gate, ``--baseline`` to gate against the
+  history records); prints the cache hit/miss/eviction table;
 * ``serve-chaos`` — chaos-replay a serving trace with injected kernel
-  faults, deadlines, retry/backoff and graceful degradation
-  (``--workers``/``--executor`` compute independent requests in
-  parallel); prints the cache hit/miss/eviction table and the SLO
-  summary, and can export the observed replay (``--trace-out`` Chrome
-  trace, ``--metrics-out`` JSONL);
+  faults, deadlines, retry/backoff and graceful degradation; prints the
+  cache hit/miss/eviction table and the SLO summary, and can export the
+  observed replay (``--trace-out`` Chrome trace, ``--metrics-out``
+  JSONL);
 * ``generate`` — serve autoregressive generation streams (synthetic
   traffic or ``--prompt-file``, one whitespace-tokenised prompt per
   line) through the mixed prefill/decode runtime: paged KV arena,
@@ -37,7 +35,14 @@ Commands:
   deadline attainment, batch-first shedding and (with ``--oracle``)
   bitwise equality of served outputs against the per-request oracle;
   ``--report-out`` writes the per-tenant report JSON for CI artifacts;
+* ``explain`` — attribute a serving replay's microseconds: per-request
+  critical path, p99-vs-p50 tail forensics and knob sensitivity
+  (``--check`` sum-checks every request path against the report);
+* ``selftest`` — validate every pipeline against the NumPy oracle;
 * ``devices`` — show the simulated device presets.
+
+Every command runs on the host serially: one forward at a time, one
+bucket at a time, in a fixed order.
 
 ``bench`` accepts the same ``--trace-out``/``--metrics-out`` pair; there
 they observe the continuous-serving steady-state run.
@@ -56,7 +61,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import FAST_GELU, STEPWISE_PRESETS, BertConfig
-from repro.core.parallel import EXECUTOR_KINDS
 from repro.core.estimator import estimate_model
 from repro.experiments import ALL_EXPERIMENTS
 from repro.frameworks import all_frameworks
@@ -239,11 +243,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         run_wallclock_bench,
         write_bench_json,
     )
-    from repro.core.parallel import use_workers
     from repro.gpusim.profiler import CacheStats, format_cache_stats
 
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     kwargs = dict(
         batch=args.batch,
         max_seq_len=args.max_seq_len,
@@ -252,8 +253,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         preset=args.preset,
         repeats=args.repeats,
         seed=args.seed,
-        executor=args.executor,
-        workers=args.workers,
         devices=args.devices,
         shard=args.shard,
     )
@@ -267,8 +266,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
         tel = Telemetry()
         kwargs["telemetry"] = tel
-    with use_workers(args.workers, kind=args.executor):
-        result = run_wallclock_bench(**kwargs)
+    result = run_wallclock_bench(**kwargs)
     print(format_summary(result))
     if tel is not None:
         _export_telemetry(
@@ -400,8 +398,6 @@ def cmd_serve_chaos(args: argparse.Namespace) -> int:
         faults=spec,
         device=DEVICES[args.device],
         seed=args.seed,
-        workers=args.workers,
-        executor=args.executor,
         telemetry=tel,
         sharding=sharding,
     )
@@ -1284,19 +1280,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the result JSON here (e.g. BENCH_wallclock.json)",
     )
     p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="executor fan-out width (1 = serial)",
-    )
-    p.add_argument(
-        "--executor",
-        choices=EXECUTOR_KINDS,
-        default="thread",
-        help="how --workers fan out: thread pool or forked processes "
-        "over shared-memory arena segments",
-    )
-    p.add_argument(
         "--check",
         action="store_true",
         help="exit 1 if any output/stream-identity invariant fails",
@@ -1408,19 +1391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trip-threshold", type=int, default=3)
     p.add_argument("--ladder-window-us", type=float, default=50_000.0)
     p.add_argument("--ladder-cooldown-us", type=float, default=100_000.0)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel request-compute workers (1 = serial)",
-    )
-    p.add_argument(
-        "--executor",
-        choices=EXECUTOR_KINDS,
-        default="thread",
-        help="how --workers fan out: thread pool or forked processes "
-        "over shared-memory arena segments",
-    )
     p.add_argument(
         "--slo-target",
         type=float,

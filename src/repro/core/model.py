@@ -40,11 +40,9 @@ from repro.core.memory_planner import (
 from repro.core.padding import (
     CrossRequestPacking,
     pack,
-    packing_from_lengths,
     packing_from_mask,
     unpack,
 )
-from repro.core.parallel import current_executor, partition_weighted
 from repro.core.sharding import ShardSpec
 from repro.core.weights import ModelWeights, init_model_weights
 from repro.gpusim.graph import GraphCache, capture
@@ -286,76 +284,6 @@ class BertEncoderModel:
             )
             self._reserved_tiles.add(tile)
 
-    def _segment_chunks(
-        self, mega: CrossRequestPacking
-    ) -> list[tuple[int, int]] | None:
-        """Deterministic contiguous segment chunks for executor fan-out.
-
-        ``None`` when fan-out cannot pay: a serial executor, a single
-        segment, or fewer than two resulting chunks.  Chunks are
-        balanced by segment token count (the row count every projection
-        GEMM scales with) via
-        :func:`~repro.core.parallel.partition_weighted`, so the same
-        megabatch always splits identically — the deterministic
-        segment→worker assignment behind the bitwise contract.
-        """
-        executor = current_executor()
-        if executor.workers <= 1 or mega.num_segments <= 1:
-            return None
-        chunks = partition_weighted(
-            mega.packing.seq_lens, executor.workers
-        )
-        return chunks if len(chunks) > 1 else None
-
-    def _run_packed_chunks(
-        self,
-        x_valid: np.ndarray,
-        mega: CrossRequestPacking,
-        chunks: list[tuple[int, int]],
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """Fan the megabatch's segment chunks out over the executor.
-
-        Each worker runs the whole layer stack over its contiguous row
-        range — issuing **one** tile GEMM per projection covering all of
-        its segments — and writes its rows of ``out``.  Workers return
-        ``None``: under the process executor the only bytes that travel
-        are the shared-memory writes into ``out``.
-
-        Bitwise-equal to the serial megabatch by construction: BLAS
-        row-splits ``m`` (chunking rows never changes GEMM bits), every
-        non-GEMM op is row- or segment-local, and attention buckets are
-        composition-invariant (the megabatch-vs-per-request equivalence
-        the packing tests pin down).
-        """
-        context = NullContext()
-        offsets = mega.packing.seq_offsets
-        max_seq_len = mega.packing.max_seq_len
-        sub_packs = [
-            packing_from_lengths(
-                mega.packing.seq_lens[s0:s1], max_seq_len, cache=None
-            )
-            for s0, s1 in chunks
-        ]
-
-        def run_chunk(i: int) -> None:
-            s0, s1 = chunks[i]
-            r0, r1 = int(offsets[s0]), int(offsets[s1])
-            h = x_valid[r0:r1]
-            for layer in self.weights.layers:
-                h = encoder_layer_packed(
-                    h,
-                    layer,
-                    self.config,
-                    self.opt,
-                    sub_packs[i],
-                    ctx=context,
-                )
-            out[r0:r1] = h
-
-        current_executor().map(run_chunk, range(len(chunks)))
-        return out
-
     def _forward_numeric_packed(
         self, x_tile: np.ndarray, mega: CrossRequestPacking
     ) -> np.ndarray:
@@ -366,8 +294,6 @@ class BertEncoderModel:
         packing = mega.packing
         x_valid = x_tile[:total]
         arena = self.arena
-        chunks = self._segment_chunks(mega)
-        executor = current_executor()
         if (
             arena is not None
             and is_vectorized()
@@ -376,18 +302,6 @@ class BertEncoderModel:
             dt = x_tile.dtype
             self.prereserve_tiles((mega.tile,), packing.max_seq_len, dt)
             arena.begin()
-            if chunks is not None:
-                out = arena.take("output", (mega.tile, hidden), dt)
-                if not executor.needs_shared_memory or (
-                    arena.shared and arena.owns(out)
-                ):
-                    self._run_packed_chunks(x_valid, mega, chunks, out)
-                    out[total:] = 0.0
-                    return out
-                # the arena is not shared-memory backed, or the output
-                # landed in a private overflow buffer: process workers'
-                # writes would die with the fork, so run serially instead
-                arena.release("output")
             cur = arena.take("h0", (total, hidden), dt)
             nxt = arena.take("h1", (total, hidden), dt)
             np.copyto(cur, x_valid)
@@ -405,11 +319,6 @@ class BertEncoderModel:
                 cur, nxt = nxt, cur
             out = arena.take("output", (mega.tile, hidden), dt)
             np.copyto(out[:total], cur)
-            out[total:] = 0.0
-            return out
-        if chunks is not None and not executor.needs_shared_memory:
-            out = np.empty((mega.tile, hidden), dtype=x_tile.dtype)
-            self._run_packed_chunks(x_valid, mega, chunks, out)
             out[total:] = 0.0
             return out
         hidden_state = x_valid

@@ -35,8 +35,8 @@ def _observe_mega(name: str, mega: "CrossRequestPacking") -> None:
 
     Observation only (an instant span at the tracer's cursor); a ``None``
     or foreign-thread telemetry short-circuits, so the numeric plane is
-    untouched with telemetry off and the parallel bucket executor's
-    worker threads never interleave into the span stack.
+    untouched with telemetry off and calls from other threads never
+    interleave into the span stack.
     """
     tel = current_telemetry()
     if tel is None or not tel.owns_current_thread():

@@ -99,9 +99,6 @@ _SOFT_METRICS = (
     MetricSpec("sections/attention/speedup_vs_reference", "higher", False),
     MetricSpec("sections/packing/speedup_vs_reference", "higher", False),
     MetricSpec("sections/graph_replay/speedup_vs_eager", "higher", False),
-    MetricSpec(
-        "sections/host_parallel/speedup_vs_reference", "higher", False
-    ),
 )
 
 TRENDED_METRICS: tuple[MetricSpec, ...] = _HARD_METRICS + _SOFT_METRICS

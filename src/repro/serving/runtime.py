@@ -36,7 +36,6 @@ from repro.core.config import FUSED_MHA, BertConfig, OptimizationConfig
 from repro.core.engine import use_engine
 from repro.core.estimator import estimate_model_graphed, estimate_model_tiled
 from repro.core.model import BertEncoderModel
-from repro.core.parallel import ProcessExecutor, make_executor, use_executor
 from repro.gpusim.graph import GraphCache
 from repro.kernels.activation import force_gelu_variant
 from repro.gpusim.device import A100_SPEC, DeviceSpec
@@ -125,15 +124,6 @@ class ServingRuntime:
         Fault hooks fire per replayed launch exactly as per eager one,
         and a mid-replay fault never touches the (immutable) cached
         graph, so chaos replays are unchanged bit for bit.
-    workers:
-        Worker count for computing served requests' numeric outputs in
-        parallel.  ``1`` (default) is strictly serial.
-    executor:
-        How ``workers`` fan out: ``"thread"`` (default), ``"process"``
-        (forked workers — pair with a shared-memory arena so megabatch
-        segment chunks write one buffer), or ``"serial"``.  Executor
-        choice never changes served bits, the outcome log or the
-        modelled timeline — only host wall-clock.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` to observe the run:
         request/stage spans on the simulated clock, the serving metrics
@@ -169,8 +159,6 @@ class ServingRuntime:
         numerics: BertEncoderModel | None = None,
         seed: int = 0,
         use_graph: bool = True,
-        workers: int = 1,
-        executor: str = "thread",
         telemetry: Telemetry | None = None,
         sharding: ShardConfig | None = None,
     ) -> None:
@@ -186,9 +174,7 @@ class ServingRuntime:
         self.numerics = numerics
         self.seed = seed
         self.graph_cache = GraphCache() if use_graph else None
-        self.workers = workers
         self.telemetry = telemetry
-        self._executor = make_executor(executor, workers)
         self._single_estimates: dict[int, float] = {}
         self.sharding = sharding if sharding is not None else ShardConfig()
         #: the priced interconnect (None on a single device)
@@ -322,20 +308,15 @@ class ServingRuntime:
         max_seq_len: int | None = None,
         tile: int | None = None,
     ) -> list[np.ndarray]:
-        """Outputs of one dispatch's served requests, possibly in parallel.
+        """Outputs of one dispatch's served requests.
 
         With a ``tile`` (continuous megabatch), all requests merge into
         one cross-request packed forward and the packed output is
         scattered back per request — bitwise what each request would get
         through its own single-request forward, because the numeric
         plane runs over the real segments only and attention respects
-        per-request segment boundaries.
-
-        Otherwise requests are independent (disjoint inputs, disjoint
-        outputs), so they fan out across the worker pool: threads need a
-        non-arena numerics model (scratch buffers must not be shared
-        across concurrent forwards); forked process workers each run on
-        a copy-on-write snapshot, so they tolerate an arena.
+        per-request segment boundaries.  Otherwise each request runs its
+        own forward, in dispatch order.
 
         Degraded rungs with ``exact_gelu`` pin the GELU formula for the
         whole computation — identity under exact presets, the
@@ -349,33 +330,18 @@ class ServingRuntime:
         if tile is not None and self.numerics.opt.remove_padding:
             # cross-request packing is a packed-pipeline concept; a
             # padded-preset numerics model serves per request below
-            # (same bits — every pipeline computes the same function).
-            # forward_packed consults the current executor: with workers
-            # it fans contiguous segment chunks out (bitwise-equal to
-            # serial by the deterministic-assignment contract).
+            # (same bits — every pipeline computes the same function)
             x_tile, mega = build_megabatch(
                 requests,
                 lambda r: self._request_input(r)[0][0],
                 max_seq_len,
                 tile,
             )
-            with pin_gelu, use_engine(level.engine), \
-                    use_executor(self._executor):
+            with pin_gelu, use_engine(level.engine):
                 out_tile = self.numerics.forward_packed(
                     x_tile, mega, ctx=NullContext()
                 )
             return scatter_outputs(out_tile, mega)
-        if self._executor.workers > 1 and (
-            self.numerics.arena is None
-            or self._executor.needs_shared_memory
-        ):
-            with pin_gelu, use_engine(level.engine):
-                return self._executor.map(
-                    lambda r: np.array(
-                        self.numerics.forward(*self._request_input(r))[0]
-                    ),
-                    requests,
-                )
         with pin_gelu:
             return [self._compute_output(r, level) for r in requests]
 
@@ -528,23 +494,11 @@ class ServingRuntime:
         ):
             # size the arena for every tile the batcher can emit before
             # the first dispatch: steady-state serving then never pays a
-            # warm-up overflow alloc (and a shared arena is immediately
-            # usable by process workers)
+            # warm-up overflow alloc
             self.numerics.prereserve_tiles(
                 self.batcher.effective_tiles(), trace.max_seq_len
             )
         plan_faults = FaultPlan(self.faults, seed=self.seed)
-        if isinstance(self._executor, ProcessExecutor):
-            # worker chaos rides the same seeded plan as kernel chaos;
-            # re-arming resets the chunk-ordinal stream per run
-            self._executor.arm_chaos(
-                plan_faults.worker_verdict
-                if (
-                    self.faults.worker_kill_rate > 0.0
-                    or self.faults.worker_hang_rate > 0.0
-                )
-                else None
-            )
         jitter_rng = np.random.default_rng([self.seed, 0x5E])
         outcomes: dict[int, RequestOutcome] = {}
         outputs: dict[int, np.ndarray] = {}

@@ -16,8 +16,8 @@ without the telemetry object being threaded through every signature:
         tel.tracer.instant("batch.cut", ...)
 
 The ``owns_current_thread`` guard keeps recording confined to the
-thread that created the telemetry: forwards fanned out across the
-parallel bucket executor must not interleave into the span stack.
+thread that created the telemetry: forwards run on other threads
+must not interleave into the span stack.
 When no telemetry is installed every call site short-circuits on the
 ``None`` check — the off state costs one attribute read and leaves the
 run bitwise-identical.

@@ -17,9 +17,9 @@ Two properties make the tracer safe to leave on in production runs:
   bitwise-neutral to model outputs and to the modelled timeline (the
   neutrality regression test asserts exactly that).
 * **Thread confinement.**  A tracer records only from the thread that
-  created it.  Instrumented library code (packing, graph replay) may run
-  inside the parallel bucket executor; calls from foreign threads are
-  ignored rather than corrupting the span stack.
+  created it.  Instrumented library code (packing, graph replay) may be
+  called from other threads; calls from foreign threads are ignored
+  rather than corrupting the span stack.
 
 The tracer has no clock of its own: the serving runtime *sets* the
 cursor (:meth:`SpanTracer.set_now`) as its simulated clock advances, and

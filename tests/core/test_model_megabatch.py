@@ -3,7 +3,7 @@
 The continuous-batching tentpole rides on ``forward_packed``: many
 requests merged into one tile buffer must compute exactly the bits each
 request would get alone, replay one launch graph per tile regardless of
-composition, and never alias arena scratch across parallel buckets.
+composition, and never alias arena scratch across buckets.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from repro.core.padding import (
     pack_segments,
     scatter_segments,
 )
-from repro.core.parallel import use_workers
 from repro.gpusim import ExecutionContext
 from repro.gpusim.graph import GraphCache
 
@@ -116,12 +115,12 @@ class TestTileGraphReuse:
 
 
 class TestArenaMegabatch:
-    def test_workers_and_arena_match_serial_no_arena(
+    def test_arena_matches_no_arena(
         self, small_config, small_weights, rng
     ):
-        # satellite: parallel bucket workers over an arena-backed
-        # megabatch must not alias scratch — outputs stay bit-identical
-        # to the serial, allocation-per-op path
+        # an arena-backed megabatch must not alias scratch across
+        # buckets — outputs stay bit-identical to the allocation-per-op
+        # path
         plain = BertEncoderModel(small_config, FUSED_MHA, weights=small_weights)
         arena_model = BertEncoderModel(
             small_config,
@@ -133,8 +132,7 @@ class TestArenaMegabatch:
             small_config, rng, [5, 12, 3, 8, 16, 2]
         )
         expected = plain.forward_packed(x_tile.copy(), mega)
-        with use_workers(3):
-            got = arena_model.forward_packed(x_tile, mega)
+        got = arena_model.forward_packed(x_tile, mega)
         np.testing.assert_array_equal(got, expected)
 
     def test_tile_reservation_prevents_overflow(
