@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Wall-clock benchmark entry point.
 
-Times the vectorized execution engine against the seed's looped reference
-on a 12-layer BERT forward (batch 16, max_seq_len 256, alpha 0.6, fused
-preset by default) and writes ``BENCH_wallclock.json``.
+Times a 12-layer BERT forward (batch 16, max_seq_len 256, alpha 0.6,
+fused preset by default) and its attention and packing hot paths against
+their per-unit references, and writes ``BENCH_wallclock.json``.
 
 Usage::
 

@@ -6,14 +6,14 @@ fail.  This example replays one seeded request trace three ways:
 1. a clean replay (no faults) as the baseline;
 2. a chaos replay with ~10% transient faults injected into the fused
    attention kernels, showing retry/backoff and the degradation ladder
-   stepping the engine onto conservative kernels and recovering;
+   stepping dispatch onto conservative kernels and recovering;
 3. an overload replay with tight deadlines and admission control,
    showing early rejection and deadline shedding instead of late
    timeouts.
 
 Every request is accounted for — served, shed, or failed — and the
 chaos replay's served outputs are bit-identical to the clean replay's
-(the engine fallbacks compute the same function).
+(the attention fallbacks compute the same function).
 
 The chaos replay runs under full telemetry: it prints the SLO summary
 (availability, error-budget burn, deadline attainment) computed from the

@@ -1,17 +1,19 @@
 """Length-bucketed batched execution of packed attention units.
 
-The looped reference engine walks attention one ``(batch, head)`` unit at
-a time; on a host CPU that means thousands of small BLAS calls and
-temporary slices per forward.  This module groups sequences whose lengths
-fall in the same bucket and runs **one** ``[B', h, s, d]`` batched matmul
-+ (masked) softmax per bucket, scattering the results back through the
+This is the one host path of the padding-free attention kernels.  Their
+per-unit references (``fused_short_reference``, ``fused_long_reference``)
+walk attention one ``(batch, head)`` unit at a time; on a host CPU that
+means thousands of small BLAS calls and temporary slices per forward.
+This module groups sequences whose lengths fall in the same bucket and
+runs **one** ``[B', h, s, d]`` batched matmul + (masked) softmax per
+bucket, scattering the results back through the
 :class:`~repro.core.padding.PackedSeqs` offsets.
 
 Bucketing strategy
 ------------------
 ``bucket_step=1`` (the default) makes every *distinct length* its own
 bucket: no intra-bucket padding exists, no masking is needed, and each
-2-D sub-problem sees exactly the same operand bytes as the looped
+2-D sub-problem sees exactly the same operand bytes as the per-unit
 reference — the batched result is bit-identical, not merely close.
 ``bucket_step>1`` rounds lengths up to the next multiple (TurboTransformers
 -style quantized buckets): fewer, larger launches at the price of padded
@@ -188,7 +190,7 @@ def _bucket_qkv(
     Returns ``q``/``v`` contiguous ``[B', h, s, d]`` and ``kt`` as the
     ``[B', h, d, s]`` *transposed view* of a contiguous K.  Each 2-D slice
     is then directly BLAS-able, and the transposed K view makes
-    ``np.matmul`` issue the same no-trans x trans GEMM as the looped
+    ``np.matmul`` issue the same no-trans x trans GEMM as the per-unit
     reference's ``q @ k.T`` — bit-identical accumulation, not just close.
     """
     bsz, length = bucket.rows.shape
@@ -240,7 +242,7 @@ def bucketed_sdpa(
 ) -> np.ndarray:
     """Scaled-dot-product attention over all packed units, bucket by bucket.
 
-    Numerically equivalent to the looped per-``(b, h)`` reference: exact
+    Numerically equivalent to the per-``(b, h)`` reference: exact
     buckets (``bucket_step=1``) are bit-identical; quantized buckets agree
     to fp32 rounding.  Returns the packed ``[T, H]`` attention output.
 

@@ -41,7 +41,7 @@ def force_mha_path(path: str | None) -> Iterator[str | None]:
     ``path`` is one of :data:`MHA_PATHS` (or ``None`` to restore normal
     short/long dispatch).  Both the numeric :func:`byte_mha` dispatch and
     the cost estimator honour the override — this is the hook the
-    serving runtime's degradation ladder uses to step the engine off the
+    serving runtime's degradation ladder uses to step dispatch off the
     aggressive fused kernels and back.
     """
     global _forced_path

@@ -31,7 +31,6 @@ from repro.attention.bucketed import (
     build_buckets,
     release_bucket_scratch,
 )
-from repro.core.engine import is_vectorized
 from repro.core.memory_planner import LiveArena
 from repro.core.padding import PackedSeqs
 from repro.gpusim.memory import BYTES_PER_FP32
@@ -44,7 +43,7 @@ from repro.kernels.grouped_gemm import (
 from repro.kernels.reduction import (
     EPILOGUE_TILE_N,
     apply_softmax_transform,
-    full_reduction_kernel,
+    full_reduce_stats,
     full_reduction_launch,
     partial_softmax_stats,
     partial_stats_flops,
@@ -77,8 +76,8 @@ def fused_long_mha(
     Returns the packed ``[T, H]`` attention output.  Works for any
     sequence length; it is the dispatch target for ``max_seq_len`` beyond
     the short kernel's resource limit.  ``out``/``scratch`` route the
-    output and the vectorized path's per-bucket intermediates through
-    caller storage (see :func:`repro.attention.bucketed.bucketed_sdpa`).
+    output and the per-bucket intermediates through caller storage (see
+    :func:`repro.attention.bucketed.bucketed_sdpa`).
     """
     tokens, three_hidden = qkv_packed.shape
     if tokens != packing.total_tokens:
@@ -96,125 +95,84 @@ def fused_long_mha(
 
     seq_lens = [int(length) for length in packing.seq_lens]
 
-    # the three cost descriptors depend only on the shape vector; both
-    # engines emit them byte-identically, in the same unit order
-    units: list[tuple[int, int]] = [
-        (b, h) for b in range(packing.batch) for h in range(num_heads)
-    ]
-    problems = [
-        GemmProblem(m=seq_lens[b], n=seq_lens[b], k=head_size)
-        for b, _ in units
-    ]
-    problems_pv = [
-        GemmProblem(m=seq_lens[b], n=head_size, k=seq_lens[b])
-        for b, _ in units
-    ]
-    epilogue_bytes = partial_stats_store_bytes(seq_lens, num_heads)
-    epilogue_flops = partial_stats_flops(seq_lens, num_heads)
-
-    if is_vectorized():
-        # ---- launch 1: grouped GEMM Q K^T with partial-reduction epilogue
-        context.launch(
-            grouped_gemm_launch(
-                problems,
-                context.device,
-                scheduler=scheduler,
-                name="fmha_grouped_qk",
-                category=category,
-                extra_bytes=epilogue_bytes,
-                extra_flops=epilogue_flops,
-                base_efficiency=FMHA_GROUPED_EFFICIENCY,
-            )
-        )
-        # ---- launch 2: lightweight full reduction over the partials ----
-        # the batched host path reduces each row in one pass, which equals
-        # the two-phase partial/full reduction exactly (same math, fp64);
-        # the modelled kernel is still the per-unit full reduction
-        unit_lens = [seq_lens[b] for b, _ in units]
-        context.launch(
-            full_reduction_launch(unit_lens, heads=1, category=category)
-        )
-        out = _bucketed_fused_long(
-            qkv_packed, qkv_bias, packing, num_heads, head_size, scale,
-            out=out, scratch=scratch,
-        )
-        # ---- launch 3: grouped GEMM P V with mainloop softmax transform
-        # per-unit epilogue sums are integers, so the closed forms below
-        # equal the looped float accumulation exactly
-        sq_total = sum(length * length for length in seq_lens)
-        transform_flops = 2.0 * num_heads * sq_total
-        stats_bytes = 2.0 * num_heads * sum(seq_lens) * BYTES_PER_FP32
-        context.launch(
-            grouped_gemm_launch(
-                problems_pv,
-                context.device,
-                scheduler=scheduler,
-                name="fmha_grouped_pv",
-                category=category,
-                extra_bytes=stats_bytes,
-                extra_flops=transform_flops,
-                base_efficiency=FMHA_GROUPED_EFFICIENCY,
-            )
-        )
-        return out
-
-    # bias add is fused into the grouped GEMMs' operand loads
-    biased = qkv_packed + qkv_bias
-    q_all = biased[:, :hidden]
-    k_all = biased[:, hidden : 2 * hidden]
-    v_all = biased[:, 2 * hidden :]
+    # the three cost descriptors depend only on the shape vector, one
+    # attention unit per (batch, head) in batch-major order
+    unit_lens = [length for length in seq_lens for _ in range(num_heads)]
 
     # ---- launch 1: grouped GEMM Q K^T with partial-reduction epilogue ----
-    scores: list[np.ndarray] = []
-    partials: list[tuple[np.ndarray, np.ndarray]] = []
-    for b, h in units:
-        rows = packing.rows_of(b)
-        cols = slice(h * head_size, (h + 1) * head_size)
-        p = (q_all[rows, cols] @ k_all[rows, cols].T) * scale
-        scores.append(p)
-        partials.append(partial_softmax_stats(p))
-
     context.launch(
         grouped_gemm_launch(
-            problems,
+            [GemmProblem(m=n, n=n, k=head_size) for n in unit_lens],
             context.device,
             scheduler=scheduler,
             name="fmha_grouped_qk",
             category=category,
-            extra_bytes=epilogue_bytes,
-            extra_flops=epilogue_flops,
+            extra_bytes=partial_stats_store_bytes(seq_lens, num_heads),
+            extra_flops=partial_stats_flops(seq_lens, num_heads),
             base_efficiency=FMHA_GROUPED_EFFICIENCY,
         )
     )
-
     # ---- launch 2: lightweight full reduction over the partials ----
-    stats = full_reduction_kernel(partials, ctx=context, category=category)
-
+    # the batched host path reduces each row in one pass, which equals
+    # the two-phase partial/full reduction exactly (same math, fp64);
+    # the modelled kernel is still the per-unit full reduction
+    context.launch(
+        full_reduction_launch(unit_lens, heads=1, category=category)
+    )
+    out = _bucketed_fused_long(
+        qkv_packed, qkv_bias, packing, num_heads, head_size, scale,
+        out=out, scratch=scratch,
+    )
     # ---- launch 3: grouped GEMM P V with mainloop softmax transform ----
-    if out is None:
-        out = np.empty((tokens, hidden), dtype=qkv_packed.dtype)
-    transform_flops = 0.0
-    stats_bytes = 0.0
-    for (b, h), p, (row_max, row_sum) in zip(units, scores, stats):
-        rows = packing.rows_of(b)
-        cols = slice(h * head_size, (h + 1) * head_size)
-        probs = apply_softmax_transform(p, row_max, row_sum)
-        out[rows, cols] = probs @ v_all[rows, cols]
-        transform_flops += 2.0 * p.size
-        stats_bytes += 2.0 * row_max.size * BYTES_PER_FP32
-
+    # per-unit epilogue sums are integers, so these closed forms equal a
+    # per-unit float accumulation exactly
+    sq_total = sum(length * length for length in seq_lens)
     context.launch(
         grouped_gemm_launch(
-            problems_pv,
+            [GemmProblem(m=n, n=head_size, k=n) for n in unit_lens],
             context.device,
             scheduler=scheduler,
             name="fmha_grouped_pv",
             category=category,
-            extra_bytes=stats_bytes,
-            extra_flops=transform_flops,
+            extra_bytes=2.0 * num_heads * sum(seq_lens) * BYTES_PER_FP32,
+            extra_flops=2.0 * num_heads * sq_total,
             base_efficiency=FMHA_GROUPED_EFFICIENCY,
         )
     )
+    return out
+
+
+def fused_long_reference(
+    qkv_packed: np.ndarray,
+    qkv_bias: np.ndarray,
+    packing: PackedSeqs,
+    num_heads: int,
+) -> np.ndarray:
+    """Per-``(batch, head)`` numerics of :func:`fused_long_mha`.
+
+    Each unit runs the paper's two-phase softmax as written: scores,
+    :func:`partial_softmax_stats` over 128-wide tiles,
+    :func:`full_reduce_stats`, then :func:`apply_softmax_transform`
+    and the P·V product.  Computes numbers only — no launch; the
+    bucketed kernel path is checked against it (bit for bit with exact
+    buckets).
+    """
+    hidden = qkv_packed.shape[1] // 3
+    head_size = hidden // num_heads
+    scale = 1.0 / math.sqrt(head_size)
+    biased = qkv_packed + qkv_bias
+    q_all = biased[:, :hidden]
+    k_all = biased[:, hidden : 2 * hidden]
+    v_all = biased[:, 2 * hidden :]
+    out = np.empty((qkv_packed.shape[0], hidden), dtype=qkv_packed.dtype)
+    for b in range(packing.batch):
+        rows = packing.rows_of(b)
+        for h in range(num_heads):
+            cols = slice(h * head_size, (h + 1) * head_size)
+            p = (q_all[rows, cols] @ k_all[rows, cols].T) * scale
+            row_max, row_sum = full_reduce_stats(*partial_softmax_stats(p))
+            probs = apply_softmax_transform(p, row_max, row_sum)
+            out[rows, cols] = probs @ v_all[rows, cols]
     return out
 
 
@@ -231,10 +189,10 @@ def _bucketed_fused_long(
 ) -> np.ndarray:
     """Batched numerics of the grouped-GEMM FMHA, one bucket at a time.
 
-    The reference path runs its softmax transform and P·V product through
-    the float64 partial-statistics arrays; this path mirrors that dtype
-    flow (fp32 scores, fp64 transform + P·V) so the two engines agree to
-    fp64 rounding, not merely 1e-6.  ``scratch`` is honoured
+    :func:`fused_long_reference` runs its softmax transform and P·V
+    product through the float64 partial-statistics arrays; this path
+    mirrors that dtype flow (fp32 scores, fp64 transform + P·V) so the
+    two agree to fp64 rounding, not merely 1e-6.  ``scratch`` is honoured
     only for float64 inputs: the allocating path *upcasts* fp32 scores
     through the fp64 statistics broadcast, which an in-place transform
     cannot reproduce.  (The partial-stats arrays stay small and
@@ -276,7 +234,8 @@ def _bucketed_fused_long(
         # batched two-phase reduction (Figure 8): per-128-column-tile
         # partial max / exp-sum in fp32, combined with fp64 rescaling —
         # the same op sequence (and dtypes) as partial_softmax_stats +
-        # full_reduce_stats run per unit, so the engines agree bitwise
+        # full_reduce_stats run per unit, so it matches the reference
+        # bitwise
         blocks = math.ceil(length / EPILOGUE_TILE_N)
         pmax = np.empty(scores.shape[:-1] + (blocks,))
         psum = np.empty_like(pmax)

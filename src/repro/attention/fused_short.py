@@ -23,7 +23,6 @@ import math
 import numpy as np
 
 from repro.attention.bucketed import bucketed_sdpa
-from repro.core.engine import is_vectorized
 from repro.core.memory_planner import LiveArena
 from repro.core.padding import PackedSeqs
 from repro.gpusim.kernel import ComputeUnit, KernelLaunch
@@ -165,8 +164,8 @@ def fused_short_mha(
     Takes the packed ``[T, 3H]`` QKV tensor (bias *not* yet added — the
     kernel fuses the bias with its shared-memory loads), returns the
     packed ``[T, H]`` attention output.  ``out`` receives the result when
-    given; ``scratch`` routes the vectorized engine's per-bucket
-    intermediates through the live arena.
+    given; ``scratch`` routes the per-bucket intermediates through the
+    live arena.
     """
     tokens, three_hidden = qkv_packed.shape
     if tokens != packing.total_tokens:
@@ -188,32 +187,10 @@ def fused_short_mha(
     if split_seq_len <= 0:
         raise ValueError(f"split_seq_len must be positive, got {split_seq_len}")
 
-    scale = 1.0 / math.sqrt(head_size)
-    if is_vectorized():
-        out = bucketed_sdpa(
-            qkv_packed, qkv_bias, packing, num_heads, scale=scale,
-            out=out, scratch=scratch,
-        )
-    else:
-        biased = qkv_packed + qkv_bias
-        q_all = biased[:, :hidden]
-        k_all = biased[:, hidden : 2 * hidden]
-        v_all = biased[:, 2 * hidden :]
-
-        if out is None:
-            out = np.empty((tokens, hidden), dtype=qkv_packed.dtype)
-        for b in range(packing.batch):
-            # the grid covers only valid rows: CTAs are created per
-            # {head, valid-seq-tile, batch}, never from max_seq_len
-            rows = packing.rows_of(b)
-            for h in range(num_heads):
-                cols = slice(h * head_size, (h + 1) * head_size)
-                q = q_all[rows, cols]
-                k = k_all[rows, cols]
-                v = v_all[rows, cols]
-                logits = (q @ k.T) * scale
-                probs = softmax_reference(logits)
-                out[rows, cols] = probs @ v
+    out = bucketed_sdpa(
+        qkv_packed, qkv_bias, packing, num_heads,
+        scale=1.0 / math.sqrt(head_size), out=out, scratch=scratch,
+    )
 
     # DRAM traffic (in the descriptor): packed Q, K, V read once (K/V tile
     # re-reads are served by L2 at these sizes), packed output written
@@ -227,4 +204,34 @@ def fused_short_mha(
             category=category,
         )
     )
+    return out
+
+
+def fused_short_reference(
+    qkv_packed: np.ndarray,
+    qkv_bias: np.ndarray,
+    packing: PackedSeqs,
+    num_heads: int,
+) -> np.ndarray:
+    """Per-``(batch, head)`` numerics of :func:`fused_short_mha`.
+
+    One Python iteration per attention unit, as the kernel's grid covers
+    only valid rows (CTAs per {head, valid-seq-tile, batch}, never from
+    ``max_seq_len``).  Computes numbers only — no launch; the bucketed
+    kernel path is checked against it (bit for bit with exact buckets).
+    """
+    hidden = qkv_packed.shape[1] // 3
+    head_size = hidden // num_heads
+    scale = 1.0 / math.sqrt(head_size)
+    biased = qkv_packed + qkv_bias
+    q_all = biased[:, :hidden]
+    k_all = biased[:, hidden : 2 * hidden]
+    v_all = biased[:, 2 * hidden :]
+    out = np.empty((qkv_packed.shape[0], hidden), dtype=qkv_packed.dtype)
+    for b in range(packing.batch):
+        rows = packing.rows_of(b)
+        for h in range(num_heads):
+            cols = slice(h * head_size, (h + 1) * head_size)
+            logits = (q_all[rows, cols] @ k_all[rows, cols].T) * scale
+            out[rows, cols] = softmax_reference(logits) @ v_all[rows, cols]
     return out

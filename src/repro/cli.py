@@ -6,11 +6,12 @@ Commands:
 * ``profile`` — run one configuration and print the kernel breakdown,
   optionally dumping a chrome://tracing JSON;
 * ``compare`` — one-line end-to-end framework comparison for a shape;
-* ``bench`` — wall-clock benchmark of the host execution engines on one
-  serial path (``--quick`` for a CI smoke run, ``--out`` to write the
-  JSON, ``--check`` to gate on the output/stream-identity invariants and
-  the fast-GELU accuracy gate, ``--baseline`` to gate against the
-  history records); prints the cache hit/miss/eviction table;
+* ``bench`` — wall-clock benchmark of the host forward and its hot
+  paths against their per-unit references (``--quick`` for a CI smoke
+  run, ``--out`` to write the JSON, ``--check`` to gate on the
+  attention-output, graph-stream and steady-state invariants and the
+  fast-GELU accuracy gate, ``--baseline`` to gate against the history
+  records); prints the cache hit/miss/eviction table;
 * ``serve-chaos`` — chaos-replay a serving trace with injected kernel
   faults, deadlines, retry/backoff and graceful degradation; prints the
   cache hit/miss/eviction table and the SLO summary, and can export the
@@ -234,7 +235,7 @@ def _git_sha() -> str:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Wall-clock benchmark: vectorized engine vs looped reference."""
+    """Wall-clock benchmark: host forward and hot paths vs references."""
     from repro.bench.wallclock import (
         QUICK_OVERRIDES,
         check_invariants,
@@ -1260,7 +1261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="wall-clock benchmark: vectorized engine vs looped reference",
+        help="wall-clock benchmark: host forward and hot paths vs their "
+        "per-unit references",
     )
     p.add_argument("--batch", type=int, default=16)
     p.add_argument("--max-seq-len", type=int, default=256)
@@ -1282,7 +1284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="exit 1 if any output/stream-identity invariant fails",
+        help="exit 1 if any output, stream-identity, allocation or "
+        "serving-floor invariant fails",
     )
     p.add_argument(
         "--devices",

@@ -29,7 +29,6 @@ import numpy as np
 from repro.attention.dispatch import forced_mha_path
 from repro.core.config import BertConfig, OptimizationConfig
 from repro.core.encoder import encoder_layer_packed, encoder_layer_padded
-from repro.core.engine import is_vectorized
 from repro.core.estimator import estimate_model_tiled
 from repro.core.memory_planner import (
     ArenaAllocator,
@@ -294,11 +293,7 @@ class BertEncoderModel:
         packing = mega.packing
         x_valid = x_tile[:total]
         arena = self.arena
-        if (
-            arena is not None
-            and is_vectorized()
-            and np.issubdtype(x_tile.dtype, np.floating)
-        ):
+        if arena is not None and np.issubdtype(x_tile.dtype, np.floating):
             dt = x_tile.dtype
             self.prereserve_tiles((mega.tile,), packing.max_seq_len, dt)
             arena.begin()
@@ -348,11 +343,7 @@ class BertEncoderModel:
         if self.opt.remove_padding:
             packing = packing_from_mask(mask, ctx=context)
             arena = self.arena
-            if (
-                arena is not None
-                and is_vectorized()
-                and np.issubdtype(flat.dtype, np.floating)
-            ):
+            if arena is not None and np.issubdtype(flat.dtype, np.floating):
                 tokens = packing.total_tokens
                 dt = flat.dtype
                 # pre-size the backing from the shape's symbolic plan so

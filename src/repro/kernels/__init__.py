@@ -46,7 +46,6 @@ from repro.kernels.prefix_sum import (
 from repro.kernels.reduction import (
     apply_softmax_transform,
     full_reduce_stats,
-    full_reduction_kernel,
     partial_softmax_stats,
 )
 from repro.kernels.softmax import (
@@ -56,6 +55,7 @@ from repro.kernels.softmax import (
     softmax,
     softmax_reference,
     zeropad_softmax,
+    zeropad_softmax_reference,
 )
 from repro.kernels.transpose import (
     add_bias_split_heads_packed_qkv,
@@ -97,7 +97,6 @@ __all__ = [
     "warp_scan_sequence",
     "apply_softmax_transform",
     "full_reduce_stats",
-    "full_reduction_kernel",
     "partial_softmax_stats",
     "add_mask",
     "masked_softmax",
@@ -105,6 +104,7 @@ __all__ = [
     "softmax",
     "softmax_reference",
     "zeropad_softmax",
+    "zeropad_softmax_reference",
     "add_bias_split_heads_packed_qkv",
     "add_bias_split_heads_qkv",
     "add_bias_unpack_split_heads_qkv",

@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.engine import is_vectorized
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import ComputeUnit, KernelLaunch
 from repro.gpusim.memory import tensor_bytes
@@ -192,7 +191,7 @@ def simulate_schedule(
     # round-robin accumulation: CTA j owns tiles j, j+n, ...  The strided
     # per-CTA sum is kept as-is: a reshape-and-reduce would change the
     # floating-point association and shift the makespan by ulps, and the
-    # modelled times must stay bit-stable across engines and releases.
+    # modelled times must stay bit-stable across releases.
     cta_time = np.zeros(n_ctas)
     for j in range(n_ctas):
         cta_time[j] = tile_time_us[j::n_ctas].sum()
@@ -314,34 +313,29 @@ def grouped_gemm(
             GemmProblem(m=a.shape[0], n=b_eff.shape[1], k=a.shape[1])
         )
 
-    if is_vectorized():
-        # shape-bucket the sub-problems: identical (m, n, k) groups run as
-        # one stacked batched matmul, mirroring how the simulated kernel
-        # batches them on the GPU.  Stacking copies operand values
-        # unchanged, so each slice's BLAS result is bit-identical to the
-        # per-pair product.
-        outputs: list[np.ndarray | None] = [None] * len(a_list)
-        groups: dict[tuple, list[int]] = {}
-        for i, (a, b) in enumerate(zip(a_list, b_list)):
-            key = (a.shape, b.shape, a.dtype.str, b.dtype.str)
-            groups.setdefault(key, []).append(i)
-        for idxs in groups.values():
-            if len(idxs) == 1:
-                i = idxs[0]
-                b_eff = b_list[i].T if transpose_b else b_list[i]
-                outputs[i] = a_list[i] @ b_eff
-                continue
-            stacked_a = np.stack([a_list[i] for i in idxs])
-            stacked_b = np.stack([b_list[i] for i in idxs])
-            if transpose_b:
-                stacked_b = stacked_b.swapaxes(-1, -2)
-            stacked_out = np.matmul(stacked_a, stacked_b)
-            for j, i in enumerate(idxs):
-                outputs[i] = stacked_out[j]
-    else:
-        outputs = [
-            a @ (b.T if transpose_b else b) for a, b in zip(a_list, b_list)
-        ]
+    # shape-bucket the sub-problems: identical (m, n, k) groups run as
+    # one stacked batched matmul, mirroring how the simulated kernel
+    # batches them on the GPU.  Stacking copies operand values
+    # unchanged, so each slice's BLAS result is bit-identical to the
+    # per-pair product.
+    outputs: list[np.ndarray | None] = [None] * len(a_list)
+    groups: dict[tuple, list[int]] = {}
+    for i, (a, b) in enumerate(zip(a_list, b_list)):
+        key = (a.shape, b.shape, a.dtype.str, b.dtype.str)
+        groups.setdefault(key, []).append(i)
+    for idxs in groups.values():
+        if len(idxs) == 1:
+            i = idxs[0]
+            b_eff = b_list[i].T if transpose_b else b_list[i]
+            outputs[i] = a_list[i] @ b_eff
+            continue
+        stacked_a = np.stack([a_list[i] for i in idxs])
+        stacked_b = np.stack([b_list[i] for i in idxs])
+        if transpose_b:
+            stacked_b = stacked_b.swapaxes(-1, -2)
+        stacked_out = np.matmul(stacked_a, stacked_b)
+        for j, i in enumerate(idxs):
+            outputs[i] = stacked_out[j]
 
     context = resolve_context(ctx)
     context.launch(

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.gpusim.kernel import ComputeUnit, KernelLaunch
 from repro.gpusim.memory import BYTES_PER_FP32
-from repro.gpusim.stream import ExecutionContext, resolve_context
 
 #: epilogue tile width over which a CTA can reduce locally (N_C in Fig. 8)
 EPILOGUE_TILE_N = 128
@@ -114,30 +113,6 @@ def full_reduction_launch(
         compute_efficiency=0.4,
         regs_per_thread=32,
     )
-
-
-def full_reduction_kernel(
-    partials: Sequence[tuple[np.ndarray, np.ndarray]],
-    *,
-    ctx: ExecutionContext | None = None,
-    category: str = "attention",
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The separate lightweight full-reduction launch over all units.
-
-    ``partials`` holds ``(partial_max, partial_sum)`` for every attention
-    unit of the grouped MHA; one kernel reduces them all.
-    """
-    if not partials:
-        raise ValueError("full reduction needs at least one attention unit")
-    results = []
-    seq_lens = []
-    for partial_max, partial_sum in partials:
-        results.append(full_reduce_stats(partial_max, partial_sum))
-        seq_lens.append(partial_max.shape[0])
-    resolve_context(ctx).launch(
-        full_reduction_launch(seq_lens, heads=1, category=category)
-    )
-    return results
 
 
 def partial_stats_store_bytes(seq_lens: Sequence[int], heads: int) -> float:

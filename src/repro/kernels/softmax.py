@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.engine import is_vectorized
 from repro.gpusim.kernel import ComputeUnit, KernelLaunch
 from repro.gpusim.memory import tensor_bytes
 from repro.gpusim.stream import ExecutionContext, resolve_context
@@ -216,35 +215,43 @@ def zeropad_softmax(
             f"{len(seq_lens)} lengths for batch of {batch}"
         )
 
-    out = np.zeros_like(scores)
-    if is_vectorized():
-        # batch same-length sentences: one stacked [B', H, l, l] softmax
-        # per distinct length instead of one Python iteration per sentence
-        from repro.attention.bucketed import (
-            group_by_length,
-            softmax_lastaxis_inplace,
-        )
+    # batch same-length sentences: one stacked [B', H, l, l] softmax per
+    # distinct length instead of one Python iteration per sentence
+    from repro.attention.bucketed import (
+        group_by_length,
+        softmax_lastaxis_inplace,
+    )
 
-        lens = np.asarray(list(seq_lens), dtype=np.int64)
-        bad = (lens <= 0) | (lens > max_len)
-        if bad.any():
-            first = int(lens[np.flatnonzero(bad)[0]])
-            raise ValueError(
-                f"sequence length {first} out of range (0, {max_len}]"
-            )
-        for length, idx in group_by_length(lens):
-            block = scores[idx][:, :, :length, :length]
-            out[idx, :, :length, :length] = softmax_lastaxis_inplace(block)
-    else:
-        for b, length in enumerate(seq_lens):
-            if not (0 < length <= max_len):
-                raise ValueError(
-                    f"sequence length {length} out of range (0, {max_len}]"
-                )
-            block = scores[b, :, :length, :length]
-            out[b, :, :length, :length] = softmax_reference(block)
+    lens = np.asarray(list(seq_lens), dtype=np.int64)
+    bad = (lens <= 0) | (lens > max_len)
+    if bad.any():
+        first = int(lens[np.flatnonzero(bad)[0]])
+        raise ValueError(
+            f"sequence length {first} out of range (0, {max_len}]"
+        )
+    out = np.zeros_like(scores)
+    for length, idx in group_by_length(lens):
+        block = scores[idx][:, :, :length, :length]
+        out[idx, :, :length, :length] = softmax_lastaxis_inplace(block)
 
     resolve_context(ctx).launch(
         zeropad_softmax_launch(list(seq_lens), heads, category)
     )
+    return out
+
+
+def zeropad_softmax_reference(
+    scores: np.ndarray, seq_lens: Sequence[int]
+) -> np.ndarray:
+    """Per-sentence numerics of :func:`zeropad_softmax` (no launch).
+
+    One :func:`softmax_reference` over each sentence's valid
+    ``len_b x len_b`` block, zeros elsewhere: the reference the batched
+    per-length kernel path is checked against.
+    """
+    out = np.zeros_like(scores)
+    for b, length in enumerate(seq_lens):
+        out[b, :, :length, :length] = softmax_reference(
+            scores[b, :, :length, :length]
+        )
     return out

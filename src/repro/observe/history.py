@@ -9,7 +9,7 @@ last *k* same-shape records with a MAD band around it, so one noisy CI
 host does not fail the build and a real regression does.
 
 Two metric tiers, mirroring how ``check_invariants`` treats
-``amdahl_capped`` sections: **hard** metrics are modelled µs — fully
+``wall_clock_floor`` sections: **hard** metrics are modelled µs — fully
 deterministic for a given seed and shape, so even a small move is a
 code change and fails the gate; **soft** metrics are host wall-clock —
 machine-dependent, so a move outside a much wider band only warns.
@@ -94,8 +94,6 @@ _HARD_METRICS = (
 #: host wall-clock metrics — machine-dependent, so regressions only warn
 _SOFT_METRICS = (
     MetricSpec("wall_us", "lower", False),
-    MetricSpec("speedup_vs_reference", "higher", False),
-    MetricSpec("sections/forward/speedup_vs_reference", "higher", False),
     MetricSpec("sections/attention/speedup_vs_reference", "higher", False),
     MetricSpec("sections/packing/speedup_vs_reference", "higher", False),
     MetricSpec("sections/graph_replay/speedup_vs_eager", "higher", False),

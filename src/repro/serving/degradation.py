@@ -1,13 +1,14 @@
-"""Graceful degradation: step the engine down under pressure, back up after.
+"""Graceful degradation: step the kernels down under pressure, back up after.
 
 A :class:`DegradationLadder` holds an ordered list of
 :class:`DegradationLevel` rungs, most aggressive first.  Each rung names
-a host execution engine (``vectorized`` / ``looped`` — switched through
-:func:`repro.core.engine.use_engine`; the two are bit-identical, so
-stepping down never changes served outputs) and an attention dispatch
-path (``fused`` / ``zeropad`` / ``cublas`` — forced through
-:func:`repro.attention.dispatch.force_mha_path`, walking the fused MHA
-back to conservative batched-GEMM kernels).
+an attention dispatch path (``fused`` / ``zeropad`` / ``cublas`` —
+forced through :func:`repro.attention.dispatch.force_mha_path`, walking
+the fused MHA back to conservative batched-GEMM kernels) and a decode
+pricing path.  Every rung below the top also pins the exact (erf) GELU
+(see :meth:`DegradationLadder.pins_exact_gelu`).  All paths compute the
+same function, so stepping down never changes what is served under an
+exact preset.
 
 The ladder trips downward when enough incidents (injected faults or
 deadline misses) land inside a sliding window, and recovers one rung at
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.attention.dispatch import MHA_PATHS
-from repro.core.engine import ENGINES, LOOPED, VECTORIZED
 from repro.telemetry import current_telemetry
 from repro.telemetry.slo import DEGRADATIONS_TOTAL
 
@@ -37,20 +37,10 @@ DECODE_PATHS = ("batched", "looped")
 
 @dataclass(frozen=True)
 class DegradationLevel:
-    """One rung: a host engine plus an attention dispatch path.
-
-    ``exact_gelu`` pins the rung to the exact (erf) GELU formula via
-    :func:`repro.kernels.activation.force_gelu_variant` even when the
-    serving preset selected ``fast-gelu``: conservative rungs trade
-    host speed for the bitwise reference numerics, the same direction
-    every other knob on the ladder steps.  Under an exact preset the
-    pin is an identity, so default serving stays bitwise unchanged.
-    """
+    """One rung: an attention dispatch path plus a decode pricing path."""
 
     name: str
-    engine: str
     mha_path: str
-    exact_gelu: bool = False
     #: which decode pricing path the rung uses — ``"batched"`` is the
     #: paged varlen kernel, ``"looped"`` walks every request through its
     #: own per-step kernel chain.  Numerics are identical on both (they
@@ -60,10 +50,6 @@ class DegradationLevel:
     decode_path: str = "batched"
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; pick one of {ENGINES}"
-            )
         if self.mha_path not in MHA_PATHS:
             raise ValueError(
                 f"unknown MHA path {self.mha_path!r}; pick one of {MHA_PATHS}"
@@ -75,29 +61,20 @@ class DegradationLevel:
             )
 
 
-#: the default ladder, most aggressive first: full vectorized fused
-#: serving, then the conservative looped host engine (which also drops
-#: any fast-GELU approximation), then progressively less fused
-#: attention kernels
+#: the default ladder, most aggressive first: full fused serving, then
+#: progressively less fused attention kernels
 DEFAULT_LEVELS: tuple[DegradationLevel, ...] = (
-    DegradationLevel("full", VECTORIZED, "fused"),
-    DegradationLevel("looped-host", LOOPED, "fused", exact_gelu=True),
-    DegradationLevel("zeropad-softmax", LOOPED, "zeropad", exact_gelu=True),
-    DegradationLevel("unfused-cublas", LOOPED, "cublas", exact_gelu=True),
+    DegradationLevel("full", "fused"),
+    DegradationLevel("zeropad-softmax", "zeropad"),
+    DegradationLevel("unfused-cublas", "cublas"),
 )
 
 #: the decode serving ladder: the batched paged-varlen round, then the
 #: per-request looped chain (same bits, conservative pricing, immune to
 #: faults targeting the batched kernel)
 DECODE_LEVELS: tuple[DegradationLevel, ...] = (
-    DegradationLevel("decode-batched", VECTORIZED, "fused"),
-    DegradationLevel(
-        "decode-looped",
-        LOOPED,
-        "fused",
-        exact_gelu=True,
-        decode_path="looped",
-    ),
+    DegradationLevel("decode-batched", "fused"),
+    DegradationLevel("decode-looped", "fused", decode_path="looped"),
 )
 
 
@@ -148,6 +125,19 @@ class DegradationLadder:
     @property
     def at_top(self) -> bool:
         return self._idx == 0
+
+    def pins_exact_gelu(self, level: DegradationLevel) -> bool:
+        """Whether ``level`` serves with the exact (erf) GELU pinned.
+
+        Every rung below the top pins it via
+        :func:`repro.kernels.activation.force_gelu_variant`, even when
+        the serving preset selected ``fast-gelu``: conservative rungs
+        trade host speed for the bitwise reference numerics, the same
+        direction every other knob on the ladder steps.  Under an exact
+        preset the pin is an identity, so default serving stays bitwise
+        unchanged.
+        """
+        return level != self.levels[0]
 
     def reset(self) -> None:
         """Back to the top rung with no history (start of a fresh run)."""

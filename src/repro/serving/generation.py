@@ -936,6 +936,9 @@ class GenerationRuntime:
                             buckets=DEFAULT_LATENCY_BUCKETS_US,
                             tenant=orig.tenant,
                         ).observe(value)
+            # the same rule as the encoder runtime: only multi-tenant
+            # traces grow the attr
+            root_attrs = {"tenant": orig.tenant} if orig.tenant else {}
             tel.tracer.add_span(
                 "request",
                 category=REQUEST_CATEGORY,
@@ -946,6 +949,7 @@ class GenerationRuntime:
                 outcome=outcome.value,
                 reason=reason,
                 retries=retries,
+                **root_attrs,
             )
         if policy is not None and policy.qos is QosClass.LATENCY_SLO:
             stats = burn_stats.setdefault(orig.tenant, [0, 0])

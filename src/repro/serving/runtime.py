@@ -7,7 +7,7 @@ injects transient kernel faults into the dispatch pricing path, a
 with exponential backoff on the simulated clock, deadline shedding and
 :class:`~repro.serving.admission.AdmissionController` keep overload from
 turning into late timeouts, and a
-:class:`~repro.serving.degradation.DegradationLadder` steps the engine
+:class:`~repro.serving.degradation.DegradationLadder` steps the kernels
 onto conservative paths under pressure and back up after a cool-down.
 
 Two planes, one contract
@@ -16,11 +16,10 @@ Latency lives on the *cost plane*: each dispatch's service time is the
 modelled time of the kernel chain the active degradation level implies
 (fused / zeropad / unfused attention), and faults strike that chain.
 Served bits live on the *numeric plane*: outputs are computed
-per-request by the numeric model under the active host engine.  All
-engines and attention fallbacks compute the same function — and the
-``vectorized``/``looped`` engines are bit-identical by construction —
-so a chaos replay must serve outputs bit-identical to a fault-free
-replay of the same requests.  The chaos test suite asserts exactly that.
+per-request by the numeric model.  All attention fallbacks compute the
+same function, so a chaos replay must serve outputs bit-identical to a
+fault-free replay of the same requests.  The chaos test suite asserts
+exactly that.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import numpy as np
 
 from repro.attention.dispatch import force_mha_path
 from repro.core.config import FUSED_MHA, BertConfig, OptimizationConfig
-from repro.core.engine import use_engine
 from repro.core.estimator import estimate_model_graphed, estimate_model_tiled
 from repro.core.model import BertEncoderModel
 from repro.gpusim.graph import GraphCache
@@ -199,7 +197,7 @@ class ServingRuntime:
         padded_len: int,
         level: DegradationLevel,
     ) -> float:
-        with use_engine(level.engine), force_mha_path(level.mha_path):
+        with force_mha_path(level.mha_path):
             return estimate_model_graphed(
                 ctx, self.config, self.opt, seq_lens, padded_len,
                 shard=self.shard, cache=self.graph_cache,
@@ -216,7 +214,7 @@ class ServingRuntime:
         chain, graph-cached by ``(device, cluster, config, preset, path,
         shard, tile)`` so identical tiles replay regardless of their
         composition."""
-        with use_engine(level.engine), force_mha_path(level.mha_path):
+        with force_mha_path(level.mha_path):
             return estimate_model_tiled(
                 ctx, self.config, self.opt, tile, max_seq_len,
                 shard=self.shard, cache=self.graph_cache,
@@ -288,12 +286,9 @@ class ServingRuntime:
         mask = np.ones((1, request.seq_len))
         return x, mask
 
-    def _compute_output(
-        self, request: Request, level: DegradationLevel
-    ) -> np.ndarray:
+    def _compute_output(self, request: Request) -> np.ndarray:
         x, mask = self._request_input(request)
-        with use_engine(level.engine):
-            out = self.numerics.forward(x, mask)
+        out = self.numerics.forward(x, mask)
         if self.numerics.arena is not None:
             # arena-backed outputs are views valid only until the next
             # forward; the report keeps them past that
@@ -318,13 +313,13 @@ class ServingRuntime:
         per-request segment boundaries.  Otherwise each request runs its
         own forward, in dispatch order.
 
-        Degraded rungs with ``exact_gelu`` pin the GELU formula for the
-        whole computation — identity under exact presets, the
-        conservative fallback under ``fast-gelu``.
+        Rungs below the ladder's top pin the exact GELU for the whole
+        computation — identity under exact presets, the conservative
+        fallback under ``fast-gelu``.
         """
         pin_gelu = (
             force_gelu_variant("exact")
-            if level.exact_gelu
+            if self.ladder.pins_exact_gelu(level)
             else contextlib.nullcontext()
         )
         if tile is not None and self.numerics.opt.remove_padding:
@@ -337,13 +332,13 @@ class ServingRuntime:
                 max_seq_len,
                 tile,
             )
-            with pin_gelu, use_engine(level.engine):
+            with pin_gelu:
                 out_tile = self.numerics.forward_packed(
                     x_tile, mega, ctx=NullContext()
                 )
             return scatter_outputs(out_tile, mega)
         with pin_gelu:
-            return [self._compute_output(r, level) for r in requests]
+            return [self._compute_output(r) for r in requests]
 
     # ------------------------------------------------------------------
 

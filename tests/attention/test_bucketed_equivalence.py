@@ -1,9 +1,9 @@
-"""Looped-vs-vectorized engine equivalence for every attention variant.
+"""Bucketed attention kernels against their per-unit references.
 
-The vectorized engine must be a pure *execution* change: same numbers
-(``atol=1e-6``; the exact-length buckets are in fact bit-identical) and
-the exact same kernel-launch stream — descriptor equality and modelled
-time equality, record by record — as the seed's per-``(b, h)`` loops.
+Each padding-free attention kernel runs length-bucketed batched matmuls
+on the host; its numbers must match the plain per-``(batch, head)``
+(or per-sentence) reference function next to it: ``atol=1e-6`` on every
+length mix, and bit for bit with the default exact-length buckets.
 """
 
 from __future__ import annotations
@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from repro.attention.bucketed import bucketed_sdpa, build_buckets
-from repro.attention.fused_long import fused_long_mha
-from repro.attention.fused_short import fused_short_mha
-from repro.attention.zeropad_softmax_mha import zeropad_softmax_mha
-from repro.core.engine import LOOPED, VECTORIZED, use_engine
-from repro.core.model import BertEncoderModel
+from repro.attention.fused_long import fused_long_mha, fused_long_reference
+from repro.attention.fused_short import fused_short_mha, fused_short_reference
 from repro.core.config import STEPWISE_PRESETS, BertConfig
+from repro.core.memory_planner import LiveArena
+from repro.core.model import BertEncoderModel
 from repro.core.padding import packing_from_lengths
 from repro.gpusim.stream import ExecutionContext
 from repro.kernels.grouped_gemm import grouped_gemm
+from repro.kernels.softmax import zeropad_softmax, zeropad_softmax_reference
 from repro.workloads.generator import make_batch
 
 MAX_SEQ = 48
@@ -41,12 +41,6 @@ LENGTH_CASES = {
     "length_one": [1, 48, 16],
 }
 
-VARIANTS = {
-    "fused_short": fused_short_mha,
-    "zeropad_softmax": zeropad_softmax_mha,
-    "fused_long": fused_long_mha,
-}
-
 
 def _make_case(lengths, seed=0):
     packing = packing_from_lengths(
@@ -60,40 +54,51 @@ def _make_case(lengths, seed=0):
     return packing, qkv, bias
 
 
-def _run(mha, qkv, bias, packing, engine):
-    with use_engine(engine):
-        ctx = ExecutionContext()
-        out = mha(qkv.copy(), bias, packing, NUM_HEADS, ctx=ctx)
-    return out, ctx.records
+def _mha_pair(kernel, reference):
+    def run(packing, qkv, bias):
+        return (
+            kernel(qkv.copy(), bias, packing, NUM_HEADS),
+            reference(qkv.copy(), bias, packing, NUM_HEADS),
+        )
+
+    return run
 
 
-def _assert_records_identical(looped, vectorized):
-    assert len(looped) == len(vectorized)
-    for a, b in zip(looped, vectorized):
-        assert a.launch == b.launch
-        assert a.time_us == b.time_us
+def _zeropad_softmax_pair(packing, qkv, bias):
+    """The zeropad MHA's only bucketed step: its padding-free softmax,
+    on padded ``[B, H, S, S]`` scores with garbage in the padding."""
+    rng = np.random.default_rng(packing.total_tokens)
+    scores = rng.standard_normal(
+        (packing.batch, NUM_HEADS, MAX_SEQ, MAX_SEQ), dtype=np.float32
+    )
+    lens = list(packing.seq_lens)
+    return zeropad_softmax(scores, lens), zeropad_softmax_reference(
+        scores, lens
+    )
+
+
+VARIANTS = {
+    "fused_short": _mha_pair(fused_short_mha, fused_short_reference),
+    "zeropad_softmax": _zeropad_softmax_pair,
+    "fused_long": _mha_pair(fused_long_mha, fused_long_reference),
+}
 
 
 @pytest.mark.parametrize("case", sorted(LENGTH_CASES))
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_engines_agree(variant, case):
-    """Same outputs (atol 1e-6) and byte-identical launch records."""
+def test_matches_reference(variant, case):
+    """Same outputs as the per-unit reference (atol 1e-6)."""
     packing, qkv, bias = _make_case(LENGTH_CASES[case])
-    mha = VARIANTS[variant]
-    out_loop, rec_loop = _run(mha, qkv, bias, packing, LOOPED)
-    out_vec, rec_vec = _run(mha, qkv, bias, packing, VECTORIZED)
-    np.testing.assert_allclose(out_vec, out_loop, rtol=0, atol=1e-6)
-    _assert_records_identical(rec_loop, rec_vec)
+    out, ref = VARIANTS[variant](packing, qkv, bias)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_exact_buckets_are_bitwise(variant):
-    """bucket_step=1 reproduces the loops bit for bit, not just closely."""
+    """bucket_step=1 reproduces the reference bit for bit, not just closely."""
     packing, qkv, bias = _make_case(LENGTH_CASES["uniform"], seed=3)
-    mha = VARIANTS[variant]
-    out_loop, _ = _run(mha, qkv, bias, packing, LOOPED)
-    out_vec, _ = _run(mha, qkv, bias, packing, VECTORIZED)
-    assert np.array_equal(out_loop, out_vec)
+    out, ref = VARIANTS[variant](packing, qkv, bias)
+    assert np.array_equal(out, ref)
 
 
 @pytest.mark.parametrize("step", [8, 32, 64])
@@ -109,56 +114,42 @@ def test_quantized_buckets_match_exact(step):
     assert n_quant <= n_exact
 
 
-def test_grouped_gemm_engine_equivalence(rng):
-    """Shape-bucketed batched matmul == per-problem loop, incl. launches."""
+def test_grouped_gemm_matches_per_problem_products(rng):
+    """Shape-bucketed batched matmul == per-problem products, one launch."""
     shapes = [(9, 13, 7), (9, 13, 7), (4, 4, 4), (9, 13, 7), (17, 3, 5)]
     a_list = [rng.standard_normal((m, k)).astype(np.float32) for m, _, k in shapes]
     b_list = [rng.standard_normal((k, n)).astype(np.float32) for _, n, k in shapes]
-    results = {}
-    records = {}
-    for engine in (LOOPED, VECTORIZED):
-        with use_engine(engine):
-            ctx = ExecutionContext()
-            results[engine] = grouped_gemm(a_list, b_list, ctx=ctx)
-            records[engine] = ctx.records
-    for out_loop, out_vec in zip(results[LOOPED], results[VECTORIZED]):
-        np.testing.assert_allclose(out_vec, out_loop, rtol=0, atol=1e-6)
-    _assert_records_identical(records[LOOPED], records[VECTORIZED])
+    ctx = ExecutionContext()
+    outs = grouped_gemm(a_list, b_list, ctx=ctx)
+    for a, b, out in zip(a_list, b_list, outs):
+        np.testing.assert_allclose(out, a @ b, rtol=0, atol=1e-6)
+    assert ctx.kernel_count() == 1
 
 
 def test_grouped_gemm_transpose_b(rng):
     a = [rng.standard_normal((6, 8)).astype(np.float32) for _ in range(3)]
     b = [rng.standard_normal((5, 8)).astype(np.float32) for _ in range(3)]
-    for engine in (LOOPED, VECTORIZED):
-        with use_engine(engine):
-            outs = grouped_gemm(a, b, transpose_b=True)
-        for ai, bi, oi in zip(a, b, outs):
-            np.testing.assert_allclose(oi, ai @ bi.T, rtol=0, atol=1e-5)
+    outs = grouped_gemm(a, b, transpose_b=True)
+    for ai, bi, oi in zip(a, b, outs):
+        np.testing.assert_allclose(oi, ai @ bi.T, rtol=0, atol=1e-5)
 
 
 @pytest.mark.parametrize("label", ["rm padding", "fused MHA"])
 def test_full_model_launch_stream_identity(label):
-    """End to end: the modelled execution is engine-invariant."""
+    """End to end: the arena path, which runs whenever an arena is set,
+    emits the plain path's bits and launch stream record for record."""
     preset = {p.label: p for p in STEPWISE_PRESETS}[label]
     config = BertConfig(num_heads=NUM_HEADS, head_size=HEAD_SIZE, num_layers=2)
     data = make_batch(5, MAX_SEQ, config.hidden_size, alpha=0.6, seed=11)
-    model = BertEncoderModel(config, preset, seed=2)
-    outputs = {}
-    contexts = {}
-    for engine in (LOOPED, VECTORIZED):
-        with use_engine(engine):
-            ctx = ExecutionContext()
-            outputs[engine] = model.forward(data.x, data.mask, ctx=ctx)
-            contexts[engine] = ctx
-    np.testing.assert_allclose(
-        outputs[VECTORIZED], outputs[LOOPED], rtol=0, atol=1e-6
-    )
-    _assert_records_identical(
-        contexts[LOOPED].records, contexts[VECTORIZED].records
-    )
-    assert (
-        contexts[LOOPED].elapsed_us() == contexts[VECTORIZED].elapsed_us()
-    )
-    assert (
-        contexts[LOOPED].total_flops() == contexts[VECTORIZED].total_flops()
-    )
+    runs = []
+    for arena in (None, LiveArena()):
+        model = BertEncoderModel(config, preset, seed=2, arena=arena)
+        ctx = ExecutionContext()
+        runs.append((model.forward(data.x, data.mask, ctx=ctx), ctx))
+    (plain_out, plain), (arena_out, arena) = runs
+    assert arena_out.base is not None  # a view into the arena
+    assert np.array_equal(arena_out, plain_out)
+    assert [(r.launch, r.time_us) for r in arena.records] == [
+        (r.launch, r.time_us) for r in plain.records
+    ]
+    assert arena.elapsed_us() == plain.elapsed_us()

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import FUSED_MHA, BertConfig
-from repro.core.engine import LOOPED, VECTORIZED, use_engine
 from repro.core.memory_planner import LiveArena
 from repro.core.model import BertEncoderModel
 from repro.core.padding import (
@@ -49,19 +48,17 @@ def looped_oracle(model, segment):
 
 
 class TestBitwiseOracle:
-    @pytest.mark.parametrize("engine", [LOOPED, VECTORIZED])
     def test_scatter_back_matches_looped_single_request(
-        self, model, small_config, rng, engine
+        self, model, small_config, rng
     ):
         segments, mega, x_tile = make_megabatch(
             small_config, rng, [5, 12, 3, 8]
         )
-        with use_engine(engine):
-            out_tile = model.forward_packed(x_tile, mega)
-            outs = scatter_segments(out_tile, mega)
-            for segment, out in zip(segments, outs):
-                expected = looped_oracle(model, segment)
-                np.testing.assert_array_equal(out, expected)
+        out_tile = model.forward_packed(x_tile, mega)
+        outs = scatter_segments(out_tile, mega)
+        for segment, out in zip(segments, outs):
+            expected = looped_oracle(model, segment)
+            np.testing.assert_array_equal(out, expected)
 
     def test_quantization_tail_zeroed(self, model, small_config, rng):
         _, mega, x_tile = make_megabatch(small_config, rng, [5, 12, 3])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import LOOPED, VECTORIZED, use_engine
 from repro.core.padding import (
     PackingCache,
     default_packing_cache,
@@ -125,21 +124,17 @@ def test_to_mask_round_trip():
     np.testing.assert_array_equal(packing.to_mask(), mask)
 
 
-@pytest.mark.parametrize("engine", [LOOPED, VECTORIZED])
-def test_interior_padding_rejected(engine):
+def test_interior_padding_rejected():
     mask = _mask([5, 4, 6], 8)
     mask[1, 1] = 0  # hole inside sentence 1
-    with use_engine(engine):
-        with pytest.raises(ValueError, match="interior padding"):
-            packing_from_mask(mask, ctx=NullContext(), cache=None)
+    with pytest.raises(ValueError, match="interior padding"):
+        packing_from_mask(mask, ctx=NullContext(), cache=None)
 
 
-@pytest.mark.parametrize("engine", [LOOPED, VECTORIZED])
-def test_mask_packing_engine_equivalence(engine):
-    """Both engines build identical metadata from the same mask."""
+def test_mask_packing_metadata():
+    """The loop-free builder derives lengths, offsets and gather rows."""
     mask = _mask([5, 1, 8, 3, 6], 8)
-    with use_engine(engine):
-        packing = packing_from_mask(mask, ctx=NullContext(), cache=None)
+    packing = packing_from_mask(mask, ctx=NullContext(), cache=None)
     np.testing.assert_array_equal(packing.seq_lens, [5, 1, 8, 3, 6])
     np.testing.assert_array_equal(
         packing.seq_offsets, [0, 5, 6, 14, 17, 23]

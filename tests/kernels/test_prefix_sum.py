@@ -78,6 +78,16 @@ class TestMaskPrefixSum:
             out, np.cumsum(mask, axis=1)
         )
 
+    def test_matches_per_sentence_warp_scan(self):
+        """The whole-mask cumsum equals one warp scan per sentence,
+        across warp-chunk boundaries."""
+        lengths = [70, 0, 33, 32, 1, 64]
+        mask = (np.arange(70) < np.array(lengths)[:, None]).astype(np.int64)
+        np.testing.assert_array_equal(
+            mask_prefix_sum(mask),
+            np.stack([warp_scan_sequence(row) for row in mask]),
+        )
+
     def test_final_column_is_length(self):
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
         out = mask_prefix_sum(mask)

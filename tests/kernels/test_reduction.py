@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim import ExecutionContext
 from repro.kernels.reduction import (
     apply_softmax_transform,
     full_reduce_stats,
-    full_reduction_kernel,
     full_reduction_launch,
     partial_softmax_stats,
     partial_stats_flops,
@@ -91,20 +89,6 @@ class TestTransform:
 
 
 class TestFullReductionKernel:
-    def test_reduces_all_units(self, rng):
-        partials = [
-            partial_softmax_stats(rng.normal(size=(m, m)))
-            for m in (20, 35, 50)
-        ]
-        ctx = ExecutionContext()
-        stats = full_reduction_kernel(partials, ctx=ctx)
-        assert len(stats) == 3
-        assert ctx.kernel_count() == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            full_reduction_kernel([])
-
     def test_lightweight_relative_to_partials(self):
         """The full reduction touches ~seq/128 fewer elements than the
         score matrix — the basis of the paper's ~2% claim."""

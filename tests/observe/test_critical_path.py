@@ -219,6 +219,34 @@ class TestGenerationFallback:
                 assert path.path_us <= latency[path.request_id] + EPS
 
 
+    def test_decode_paths_carry_their_tenant(self):
+        import dataclasses
+
+        from repro.serving.generation import GenerationRuntime
+        from repro.workloads.serving import ServingTrace, make_generation_trace
+
+        parts = [
+            make_generation_trace(4, 64, decode_tokens=4, seed=seed, tenant=t)
+            for seed, t in ((3, "chat"), (4, "batch"))
+        ]
+        merged = sorted(
+            (r for part in parts for r in part.requests),
+            key=lambda r: r.arrival_us,
+        )
+        requests = tuple(
+            dataclasses.replace(r, request_id=i) for i, r in enumerate(merged)
+        )
+        tel = Telemetry()
+        GenerationRuntime(
+            CONFIG, seed=3, compute_outputs=False, telemetry=tel
+        ).run(ServingTrace(requests, 64))
+        cp = CriticalPathReport.from_telemetry(tel)
+        assert {p.request_id: p.tenant for p in cp.requests} == {
+            r.request_id: r.tenant for r in requests
+        }
+        assert {p.tenant for p in cp.requests} == {"chat", "batch"}
+
+
 class TestChromeTraceLane:
     def test_trace_gains_critical_lane_only_when_asked(self, chaos_pair):
         from repro.gpusim.trace import telemetry_chrome_trace

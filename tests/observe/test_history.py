@@ -32,8 +32,8 @@ def fake_result(modelled_us=1000.0, wall_us=50_000.0, speedup=1.5, **over):
         "config": config,
         "modelled_us": modelled_us,
         "wall_us": wall_us,
-        "speedup_vs_reference": speedup,
         "sections": {
+            "attention": {"speedup_vs_reference": speedup},
             "continuous_serving": {
                 "speedup_vs_reference": 1.4,
                 "continuous": {
@@ -135,7 +135,7 @@ class TestGate:
         assert gate.passed
         warned = {v.path for v in gate.warnings}
         assert "wall_us" in warned
-        assert "speedup_vs_reference" in warned
+        assert "sections/attention/speedup_vs_reference" in warned
 
     def test_mad_band_absorbs_history_noise(self):
         # noisy-but-stationary history widens the band: a value inside

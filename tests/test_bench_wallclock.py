@@ -26,8 +26,6 @@ def test_required_schema_keys(result):
         "config",
         "wall_us",
         "modelled_us",
-        "reference_wall_us",
-        "speedup_vs_reference",
         "sections",
         "invariants",
         "notes",
@@ -58,8 +56,7 @@ def test_config_section(result):
 def test_timings_positive(result):
     assert result["wall_us"] > 0
     assert result["modelled_us"] > 0
-    assert result["reference_wall_us"] > 0
-    assert result["speedup_vs_reference"] > 0
+    assert result["sections"]["forward"]["wall_us"] == result["wall_us"]
     packing = result["sections"]["packing"]
     for key in (
         "reference_loop_us",
@@ -73,17 +70,32 @@ def test_timings_positive(result):
 
 def test_invariants_hold(result):
     inv = result["invariants"]
-    assert inv["outputs_match_atol_1e-6"] is True
-    assert inv["launch_streams_identical"] is True
-    assert inv["max_abs_diff"] <= 1e-6
     assert inv["kernel_count"] > 0
-    assert inv["modelled_us_looped"] == inv["modelled_us_vectorized"]
+    # one launch path: no second stream or modelled time to compare
+    for key in (
+        "outputs_match_atol_1e-6",
+        "launch_streams_identical",
+        "modelled_us_looped",
+        "modelled_us_vectorized",
+    ):
+        assert key not in inv, key
 
 
 def test_attention_section_present_for_fused_preset(result):
     attention = result["sections"]["attention"]
     assert attention["wall_us"] > 0
     assert attention["reference_wall_us"] > 0
+    assert attention["outputs_match_atol_1e-6"] is True
+    assert attention["max_abs_diff"] <= 1e-6
+
+
+def test_attention_output_gate_fails_check(result):
+    broken = json.loads(json.dumps(result))  # deep copy
+    attention = broken["sections"]["attention"]
+    attention["outputs_match_atol_1e-6"] = False
+    attention["max_abs_diff"] = 3e-3
+    failures = check_invariants(broken)
+    assert any("byte_mha diverges" in f for f in failures)
 
 
 def test_graph_replay_section(result):
@@ -174,8 +186,8 @@ def test_continuous_serving_section(result):
 
 
 def test_floor_fields_present(result):
-    assert result["sections"]["forward"]["floor"] == 1.0
-    assert result["sections"]["forward"]["amdahl_capped"] is True
+    # the forward has no reference to be faster than
+    assert "floor" not in result["sections"]["forward"]
     assert result["sections"]["attention"]["floor"] == 1.0
     assert result["sections"]["attention"]["wall_clock_floor"] is True
 
@@ -187,16 +199,12 @@ def test_floor_breach_fails_only_on_modelled_clock_sections(result):
     broken["sections"]["continuous_serving"]["speedup_vs_reference"] = 0.5
     failures = check_invariants(broken)
     assert any("continuous_serving" in f and "floor" in f for f in failures)
-    # forward is Amdahl-capped and attention is a noisy wall-clock
-    # measurement: their breaches warn but never fail
+    # attention is a noisy wall-clock measurement: its breach warns but
+    # never fails
     warned = json.loads(json.dumps(result))
-    warned["sections"]["forward"]["speedup_vs_reference"] = 0.5
     warned["sections"]["attention"]["speedup_vs_reference"] = 0.5
-    assert not any(
-        "forward" in f or "attention" in f for f in check_invariants(warned)
-    )
+    assert not any("attention" in f for f in check_invariants(warned))
     warnings = check_warnings(warned)
-    assert any("forward" in w and "Amdahl" in w for w in warnings)
     assert any("attention" in w and "wall-clock" in w for w in warnings)
 
 
