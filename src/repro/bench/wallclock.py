@@ -88,13 +88,13 @@ from repro.core.padding import (
     default_packing_cache,
     merge_request_lengths,
     packing_from_mask,
+    packing_from_mask_reference,
 )
 from repro.gpusim.graph import GraphCache
 from repro.gpusim.profiler import CacheStats
 from repro.gpusim.stream import ExecutionContext, NullContext
 from repro.kernels.activation import FAST_GELU_ATOL
 from repro.kernels.gemm import gemm
-from repro.kernels.prefix_sum import warp_scan_sequence
 from repro.workloads.generator import make_batch
 
 #: an ndarray allocation at least this big counts as "large" for the
@@ -121,35 +121,6 @@ def _time_best_of(fn: Callable[[], Any], repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best * 1e6
-
-
-def _reference_packing_from_mask(mask: np.ndarray) -> PackedSeqs:
-    """The seed's per-sentence packing builder, kept as the benchmark
-    reference for the loop-free ``packing_from_mask``: one warp scan
-    per sentence, then per-sentence validation and gather rows."""
-    prefix = np.stack([warp_scan_sequence(row) for row in mask])
-    batch, max_seq_len = mask.shape
-    seq_lens = prefix[:, -1].copy()
-    for b in range(batch):
-        length = int(seq_lens[b])
-        expected = np.arange(1, length + 1)
-        if not np.array_equal(prefix[b, :length], expected):
-            raise ValueError(f"sentence {b} has interior padding")
-    seq_offsets = np.zeros(batch + 1, dtype=np.int64)
-    np.cumsum(seq_lens, out=seq_offsets[1:])
-    gather = np.empty(int(seq_offsets[-1]), dtype=np.int64)
-    for b in range(batch):
-        length = int(seq_lens[b])
-        gather[seq_offsets[b] : seq_offsets[b + 1]] = (
-            b * max_seq_len + np.arange(length)
-        )
-    return PackedSeqs(
-        batch=batch,
-        max_seq_len=max_seq_len,
-        seq_lens=seq_lens,
-        seq_offsets=seq_offsets,
-        gather_idx=gather,
-    )
 
 
 def _launches_identical(
@@ -890,7 +861,7 @@ def run_wallclock_bench(
     # ---- packing metadata: seed loop vs loop-free build vs cache hit ----
     packing_repeats = max(repeats, 10)
     packing_loop_us = _time_best_of(
-        lambda: _reference_packing_from_mask(data.mask), packing_repeats
+        lambda: packing_from_mask_reference(data.mask), packing_repeats
     )
     packing_cold_us = _time_best_of(
         lambda: packing_from_mask(data.mask, ctx=NullContext(), cache=None),

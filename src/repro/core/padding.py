@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.gpusim.stream import ExecutionContext
 from repro.kernels.packing import pack_tokens, unpack_tokens
-from repro.kernels.prefix_sum import mask_prefix_sum
+from repro.kernels.prefix_sum import mask_prefix_sum, warp_scan_sequence
 from repro.telemetry import current_telemetry
 
 
@@ -262,6 +262,36 @@ def packing_from_mask(
     if cache is not None:
         return cache.get_or_build(seq_lens, max_seq_len)
     return _build_packing(seq_lens, max_seq_len)
+
+
+def packing_from_mask_reference(mask: np.ndarray) -> PackedSeqs:
+    """The seed's per-sentence packing builder, kept as the numerics
+    reference for the loop-free :func:`packing_from_mask`: one warp scan
+    per sentence, then per-sentence validation and gather rows.  No
+    kernel launch and no cache."""
+    prefix = np.stack([warp_scan_sequence(row) for row in mask])
+    batch, max_seq_len = mask.shape
+    seq_lens = prefix[:, -1].copy()
+    for b in range(batch):
+        length = int(seq_lens[b])
+        expected = np.arange(1, length + 1)
+        if not np.array_equal(prefix[b, :length], expected):
+            raise ValueError(f"sentence {b} has interior padding")
+    seq_offsets = np.zeros(batch + 1, dtype=np.int64)
+    np.cumsum(seq_lens, out=seq_offsets[1:])
+    gather = np.empty(int(seq_offsets[-1]), dtype=np.int64)
+    for b in range(batch):
+        length = int(seq_lens[b])
+        gather[seq_offsets[b] : seq_offsets[b + 1]] = (
+            b * max_seq_len + np.arange(length)
+        )
+    return PackedSeqs(
+        batch=batch,
+        max_seq_len=max_seq_len,
+        seq_lens=seq_lens,
+        seq_offsets=seq_offsets,
+        gather_idx=gather,
+    )
 
 
 def packing_from_lengths(

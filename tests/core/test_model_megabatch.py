@@ -40,25 +40,49 @@ def make_megabatch(small_config, rng, lens):
     return segments, mega, pack_segments(segments, mega)
 
 
-def looped_oracle(model, segment):
-    """What this request computes when served alone (padded, mask=1)."""
-    x = segment[np.newaxis]
-    mask = np.ones((1, segment.shape[0]), dtype=np.int64)
-    return model.forward(x, mask)[0]
+def looped_oracle(model, segments):
+    """What each request computes when served alone (padded, mask=1)."""
+    return [
+        model.forward(
+            segment[np.newaxis],
+            np.ones((1, segment.shape[0]), dtype=np.int64),
+        )[0]
+        for segment in segments
+    ]
+
+
+def vectorized_oracle(model, segments):
+    """What each request computes in one ordinary padded batch."""
+    lens = [segment.shape[0] for segment in segments]
+    x = np.zeros((len(segments), max(lens), segments[0].shape[1]))
+    mask = np.zeros(x.shape[:2], dtype=np.int64)
+    for b, segment in enumerate(segments):
+        x[b, : lens[b]] = segment
+        mask[b, : lens[b]] = 1
+    out = model.forward(x, mask)
+    return [out[b, :length] for b, length in enumerate(lens)]
+
+
+ORACLES = {"looped": looped_oracle, "vectorized": vectorized_oracle}
 
 
 class TestBitwiseOracle:
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
     def test_scatter_back_matches_looped_single_request(
-        self, model, small_config, rng
+        self, model, small_config, rng, oracle
     ):
         segments, mega, x_tile = make_megabatch(
             small_config, rng, [5, 12, 3, 8]
         )
-        out_tile = model.forward_packed(x_tile, mega)
-        outs = scatter_segments(out_tile, mega)
-        for segment, out in zip(segments, outs):
-            expected = looped_oracle(model, segment)
-            np.testing.assert_array_equal(out, expected)
+        outs = [
+            out.copy()
+            for out in scatter_segments(
+                model.forward_packed(x_tile, mega), mega
+            )
+        ]
+        expected = ORACLES[oracle](model, segments)
+        for out, want in zip(outs, expected):
+            np.testing.assert_array_equal(out, want)
 
     def test_quantization_tail_zeroed(self, model, small_config, rng):
         _, mega, x_tile = make_megabatch(small_config, rng, [5, 12, 3])

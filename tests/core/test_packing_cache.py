@@ -10,6 +10,7 @@ from repro.core.padding import (
     default_packing_cache,
     packing_from_lengths,
     packing_from_mask,
+    packing_from_mask_reference,
 )
 from repro.gpusim.stream import NullContext
 
@@ -124,22 +125,36 @@ def test_to_mask_round_trip():
     np.testing.assert_array_equal(packing.to_mask(), mask)
 
 
-def test_interior_padding_rejected():
+#: the two mask -> packing builders: the seed's per-sentence warp-scan
+#: loop and the loop-free builder the serving path runs
+BUILDERS = {
+    "looped": packing_from_mask_reference,
+    "vectorized": lambda mask: packing_from_mask(
+        mask, ctx=NullContext(), cache=None
+    ),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_interior_padding_rejected(builder):
     mask = _mask([5, 4, 6], 8)
     mask[1, 1] = 0  # hole inside sentence 1
     with pytest.raises(ValueError, match="interior padding"):
-        packing_from_mask(mask, ctx=NullContext(), cache=None)
+        BUILDERS[builder](mask)
 
 
-def test_mask_packing_metadata():
-    """The loop-free builder derives lengths, offsets and gather rows."""
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_mask_packing_engine_equivalence(builder):
+    """Both builders derive the same lengths, offsets and gather rows."""
     mask = _mask([5, 1, 8, 3, 6], 8)
-    packing = packing_from_mask(mask, ctx=NullContext(), cache=None)
+    packing = BUILDERS[builder](mask)
     np.testing.assert_array_equal(packing.seq_lens, [5, 1, 8, 3, 6])
     np.testing.assert_array_equal(
         packing.seq_offsets, [0, 5, 6, 14, 17, 23]
     )
-    assert packing.gather_idx.shape == (23,)
+    np.testing.assert_array_equal(
+        packing.gather_idx, np.flatnonzero(mask.reshape(-1))
+    )
 
 
 def test_packing_from_mask_uses_cache():
