@@ -9,8 +9,11 @@ deadline shedding and high-water-mark admission control
 QoS classes, weighted-fair sharing and overload protection
 (:mod:`~repro.serving.gateway`), graceful engine degradation
 (:mod:`~repro.serving.degradation`), and per-request outcome accounting
-(:mod:`~repro.serving.report`), all orchestrated by
-:class:`~repro.serving.runtime.ServingRuntime`.
+(:mod:`~repro.serving.report`).  One request lifecycle
+(:mod:`~repro.serving.core`) serves two scheduling loops: encoder
+dispatches in :class:`~repro.serving.runtime.ServingRuntime` and
+prefill/decode rounds in
+:class:`~repro.serving.generation.GenerationRuntime`.
 """
 
 from repro.serving.admission import AdmissionController

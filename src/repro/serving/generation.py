@@ -1,7 +1,9 @@
 """Decode serving: continuous prefill/decode batching over a paged KV arena.
 
 :class:`GenerationRuntime` is the autoregressive sibling of
-:class:`~repro.serving.runtime.ServingRuntime`: it replays a trace of
+:class:`~repro.serving.runtime.ServingRuntime`, a second adapter over
+the shared request lifecycle in :mod:`repro.serving.core`: it replays a
+trace of
 :class:`~repro.workloads.serving.GenerationRequest`\\ s through mixed
 prefill/decode rounds cut by a
 :class:`~repro.workloads.batching.MixedContinuousBatcher`, holds every
@@ -31,9 +33,9 @@ tests assert exactly that.
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -53,33 +55,29 @@ from repro.decoder.paged_kv import (
     PagedKVArena,
 )
 from repro.gpusim.device import A100_SPEC, DeviceSpec
-from repro.gpusim.errors import TransientFault
 from repro.gpusim.graph import GraphCache
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import BYTES_PER_ELEMENT
 from repro.gpusim.stream import ExecutionContext, NullContext
 from repro.kernels.gemm import gemm
+from repro.serving.core import ServingCore
 from repro.serving.degradation import (
     DECODE_LEVELS,
     DegradationLadder,
     DegradationLevel,
-    LadderTransition,
 )
-from repro.serving.faults import NO_FAULTS, FaultPlan, FaultSpec, InjectedFault
-from repro.serving.gateway import AdmissionGateway, QosClass
+from repro.serving.faults import NO_FAULTS, FaultSpec
+from repro.serving.gateway import AdmissionGateway
 from repro.serving.report import (
+    GenerationReport,
     Outcome,
     REASON_ADMISSION,
-    REASON_DEADLINE,
     REASON_RETRY_BUDGET,
-    RequestOutcome,
 )
 from repro.serving.retry import RetryPolicy
 from repro.telemetry import (
     COUNT_BUCKETS,
-    DEFAULT_LATENCY_BUCKETS_US,
     RATIO_BUCKETS,
-    REQUEST_CATEGORY,
     Telemetry,
     use_telemetry,
 )
@@ -87,7 +85,6 @@ from repro.telemetry import slo as metric_names
 from repro.workloads.batching import (
     MixedContinuousBatcher,
     TokenBudgetExceededError,
-    shed_expired,
 )
 from repro.workloads.serving import Request, ServingTrace
 
@@ -117,94 +114,6 @@ class _GenState:
     @property
     def done(self) -> bool:
         return len(self.tokens) >= self.steps_total
-
-
-@dataclass(frozen=True)
-class GenerationReport:
-    """Everything one decode chaos replay is accountable for."""
-
-    outcomes: tuple[RequestOutcome, ...]
-    transitions: tuple[LadderTransition, ...]
-    injected_faults: tuple[InjectedFault, ...]
-    top_level: str
-    gpu_busy_us: float
-    makespan_us: float
-    #: generated hidden rows per served request: ``rid -> [T, H]``
-    outputs: dict[int, np.ndarray] = field(default_factory=dict, compare=False)
-    #: simulated finish instant of each generated token, per request
-    token_times: dict[int, tuple[float, ...]] = field(
-        default_factory=dict, compare=False
-    )
-    generated_tokens: int = 0
-    rounds: int = 0
-    kv_stats: dict[str, float] = field(default_factory=dict, compare=False)
-    graph_hits: int = 0
-    graph_lookups: int = 0
-
-    def by_outcome(self, outcome: Outcome) -> tuple[RequestOutcome, ...]:
-        return tuple(o for o in self.outcomes if o.outcome is outcome)
-
-    @property
-    def served(self) -> tuple[RequestOutcome, ...]:
-        return self.by_outcome(Outcome.SERVED)
-
-    def counts(self) -> dict[str, int]:
-        return {
-            "served": len(self.served),
-            "shed": len(self.by_outcome(Outcome.SHED)),
-            "failed": len(self.by_outcome(Outcome.FAILED)),
-            "rejected": len(self.by_outcome(Outcome.REJECTED)),
-        }
-
-    @property
-    def us_per_token(self) -> float:
-        """Modelled GPU µs per generated token — the headline metric."""
-        if not self.generated_tokens:
-            return float("inf")
-        return self.gpu_busy_us / self.generated_tokens
-
-    @property
-    def graph_hit_rate(self) -> float:
-        if not self.graph_lookups:
-            return 0.0
-        return self.graph_hits / self.graph_lookups
-
-    def ttft_us(self, rid: int, arrival_us: float) -> float | None:
-        times = self.token_times.get(rid)
-        if not times:
-            return None
-        return times[0] - arrival_us
-
-    def render_text(self) -> str:
-        counts = self.counts()
-        lines = [
-            f"generation report: {len(self.outcomes)} requests, "
-            f"{self.generated_tokens} tokens in {self.rounds} rounds, "
-            f"makespan {self.makespan_us / 1000:.2f} ms, "
-            f"GPU busy {self.gpu_busy_us / 1000:.2f} ms "
-            f"({self.us_per_token:.2f} us/token)",
-            "  outcomes: "
-            + ", ".join(f"{k}={v}" for k, v in counts.items()),
-            f"  graph cache: {self.graph_hits}/{self.graph_lookups} replays "
-            f"(hit rate {self.graph_hit_rate:.2f})",
-        ]
-        if self.kv_stats:
-            lines.append(
-                "  kv arena: "
-                + ", ".join(
-                    f"{k}={v:g}" for k, v in sorted(self.kv_stats.items())
-                )
-            )
-        if self.transitions:
-            lines.append("  degradation transitions:")
-            for t in self.transitions:
-                lines.append(
-                    f"    {t.time_us / 1000:10.2f} ms  "
-                    f"{t.from_level} -> {t.to_level}  ({t.reason})"
-                )
-        else:
-            lines.append("  degradation transitions: none")
-        return "\n".join(lines)
 
 
 class GenerationRuntime:
@@ -350,7 +259,9 @@ class GenerationRuntime:
             return self._run(trace)
 
     def _run(self, trace: ServingTrace) -> GenerationReport:
-        self.ladder.reset()
+        run = ServingCore(self, trace)
+        settle = run.settle
+        tel = run.tel
         config = self.config
         hidden = config.hidden_size
         heads = config.num_heads
@@ -362,63 +273,13 @@ class GenerationRuntime:
                     f"prompt tokens, more than the "
                     f"{self.batcher.token_budget}-token budget"
                 )
-        plan_faults = FaultPlan(self.faults, seed=self.seed)
-        jitter_rng = np.random.default_rng([self.seed, 0x5E])
-        outcomes: dict[int, RequestOutcome] = {}
-        originals: dict[int, Request] = {}
-        burn_stats: dict[str, list[int]] = {}
-        tel = self.telemetry
-        if tel is not None and not tel.owns_current_thread():
-            tel = None
-        gateway = self.gateway
-
-        # -- gateway pre-pass ------------------------------------------
-        admitted: list[Request] = []
-        if gateway is not None:
-            if gateway.service_rate is None:
-                gateway.service_rate = self.estimate_service_rate(max_context)
-            gate = gateway.process(trace)
-            for event in gate.rejected:
-                originals[event.request.request_id] = event.request
-                self._settle(
-                    outcomes, originals, burn_stats, tel,
-                    event.request, Outcome.REJECTED, event.reason, None, 0,
-                    now_us=event.t_us,
-                )
-            for event in gate.shed:
-                originals[event.request.request_id] = event.request
-                self._settle(
-                    outcomes, originals, burn_stats, tel,
-                    event.request, Outcome.SHED, event.reason, None, 0,
-                    now_us=event.t_us,
-                )
-            for sched in gate.admitted:
-                orig = sched.request
-                originals[orig.request_id] = orig
-                wait = sched.release_us - orig.arrival_us
-                deadline = orig.deadline_us
-                if deadline is not None:
-                    deadline = deadline - wait
-                    if deadline <= 0.0:
-                        self.ladder.record_deadline_miss(sched.release_us)
-                        self._settle(
-                            outcomes, originals, burn_stats, tel,
-                            orig, Outcome.SHED, REASON_DEADLINE, None, 0,
-                            now_us=sched.release_us,
-                        )
-                        continue
-                admitted.append(
-                    replace(
-                        orig,
-                        arrival_us=sched.release_us,
-                        deadline_us=deadline,
-                    )
-                )
-            admitted.sort(key=lambda r: (r.arrival_us, r.request_id))
+        if self.gateway is not None:
+            admitted = sorted(
+                (r for _, r in run.gateway_pass(self.estimate_service_rate)),
+                key=lambda r: (r.arrival_us, r.request_id),
+            )
         else:
-            for request in trace.requests:
-                originals[request.request_id] = request
-                admitted.append(request)
+            admitted = list(trace.requests)
 
         # -- the arena, sized to the admitted stream -------------------
         block = self.kv_block_tokens
@@ -426,21 +287,12 @@ class GenerationRuntime:
             capacity = self.kv_capacity_tokens
         else:
             # full-trajectory blocks per request: never any eviction
-            capacity = max(
-                block,
-                sum(
-                    -(
-                        -(
-                            r.seq_len
-                            + self.decode_steps_for(r, max_context)
-                            - 1
-                        )
-                        // block
-                    )
-                    * block
-                    for r in admitted
-                ),
+            blocks = sum(
+                -(-(r.seq_len + self.decode_steps_for(r, max_context) - 1)
+                  // block)
+                for r in admitted
             )
+            capacity = block * max(1, blocks)
         arena = PagedKVArena(
             hidden, capacity, block_tokens=block, dtype=np.float64
         )
@@ -448,20 +300,18 @@ class GenerationRuntime:
 
         states: dict[int, _GenState] = {}
         for request in admitted:
+            if -(-request.seq_len // block) > arena.num_blocks:
+                # the prompt alone can never fit the arena: refuse at
+                # admission instead of deadlocking the eviction loop
+                settle(
+                    request, Outcome.SHED, REASON_ADMISSION, None, 0,
+                    now_us=request.arrival_us,
+                )
+                continue
             states[request.request_id] = _GenState(
                 request=request,
                 steps_total=self.decode_steps_for(request, max_context),
             )
-            prompt_blocks = -(-request.seq_len // block)
-            if prompt_blocks > arena.num_blocks:
-                # the prompt alone can never fit the arena: refuse at
-                # admission instead of deadlocking the eviction loop
-                self._settle(
-                    outcomes, originals, burn_stats, tel,
-                    request, Outcome.SHED, REASON_ADMISSION, None, 0,
-                    now_us=request.arrival_us,
-                )
-                del states[request.request_id]
 
         pending: deque[Request] = deque(
             s.request
@@ -482,37 +332,29 @@ class GenerationRuntime:
         null_ctx = NullContext()
 
         def settle_served(state: _GenState, finish: float) -> None:
-            nonlocal generated
             rid = state.request.request_id
-            self._settle(
-                outcomes, originals, burn_stats, tel,
+            settle(
                 state.request, Outcome.SERVED, "",
                 finish - state.request.arrival_us, state.retries,
-                now_us=finish, level=self.ladder.level.name,
-                token_times=tuple(state.token_times),
+                now_us=finish, token_times=tuple(state.token_times),
             )
             arena.free(rid)
             if rid in active:
                 active.remove(rid)
 
-        def charge_swap(tokens: int, name: str) -> float:
+        def charge_swap(tokens: int, name: str) -> None:
+            """Run one K/V host<->device copy on the device clock."""
+            nonlocal busy, now, makespan
             ctx = self._new_ctx()
             ctx.launch(_kv_swap_launch(tokens, hidden, name))
-            return ctx.elapsed_us()
+            busy += ctx.elapsed_us()
+            now += ctx.elapsed_us()
+            makespan = max(makespan, now)
 
         while pending or waiting or active or paused:
             while pending and pending[0].arrival_us <= now:
                 waiting.append(pending.popleft())
-            alive, expired = shed_expired(waiting, now)
-            for request in expired:
-                self.ladder.record_deadline_miss(now)
-                self._settle(
-                    outcomes, originals, burn_stats, tel,
-                    request, Outcome.SHED, REASON_DEADLINE, None, 0,
-                    now_us=now,
-                )
-                states.pop(request.request_id, None)
-            waiting = alive
+            waiting = run.shed_expired(waiting, now)
             # resume preempted requests (oldest paused first) while their
             # blocks fit; the swap-in copy is priced, and the restored
             # K/V are bit-for-bit what was evicted
@@ -522,11 +364,7 @@ class GenerationRuntime:
                            + len(states[rid].tokens) - 1) // block)
                 if need > arena.free_blocks:
                     break
-                restored = arena.swap_in(rid)
-                us = charge_swap(restored, "kv_swap_in")
-                busy += us
-                now += us
-                makespan = max(makespan, now)
+                charge_swap(arena.swap_in(rid), "kv_swap_in")
                 paused.pop(0)
                 active.append(rid)
             round_ = self.batcher.plan_round(waiting, active, now)
@@ -559,11 +397,7 @@ class GenerationRuntime:
                         rid,
                     ),
                 )
-                swapped = arena.swap_out(victim)
-                us = charge_swap(swapped, "kv_swap_out")
-                busy += us
-                now += us
-                makespan = max(makespan, now)
+                charge_swap(arena.swap_out(victim), "kv_swap_out")
                 active.remove(victim)
                 paused.append(victim)
                 if victim in decode_ids:
@@ -592,66 +426,49 @@ class GenerationRuntime:
             rounds += 1
 
             # -- the attempt loop (cost plane) -------------------------
+            price = partial(
+                self._price_round,
+                prefill_lens=prefill_lens,
+                prefill_tile=round_.prefill_tile,
+                decode_contexts=decode_contexts,
+                max_seq_len=max_context,
+            )
             start = now
             attempt = 0
-            abandoned = False
             while True:
-                level = self.ladder.level
-                ctx = plan_faults.install(self._new_ctx())
-                try:
-                    service = self._price_round(
-                        ctx, level, prefill_lens, round_.prefill_tile,
-                        decode_contexts, max_context,
+                ctx = self._new_ctx()
+                service = run.attempt(
+                    ctx, partial(price, level=self.ladder.level)
+                )
+                if service is not None:
+                    break
+                burnt = ctx.elapsed_us()
+                busy += burnt
+                now = start + burnt
+                backoff = run.retry_after_fault(now, attempt)
+                if backoff is None:
+                    break
+                start = now + backoff
+                attempt += 1
+            if service is None:
+                # the retry budget is spent: the whole round fails
+                for request in prefills:
+                    settle(
+                        request, Outcome.FAILED, REASON_RETRY_BUDGET, None,
+                        attempt, now_us=now,
                     )
-                except TransientFault:
-                    partial = ctx.elapsed_us()
-                    busy += partial
-                    fault_now = start + partial
-                    self.ladder.record_fault(fault_now)
-                    if tel is not None:
-                        tel.metrics.counter(
-                            metric_names.FAULTS_TOTAL,
-                            help="transient faults injected into attempts",
-                        ).inc()
-                    if attempt >= self.retry.max_retries:
-                        for request in prefills:
-                            self._settle(
-                                outcomes, originals, burn_stats, tel,
-                                request, Outcome.FAILED,
-                                REASON_RETRY_BUDGET, None, attempt,
-                                now_us=fault_now,
-                            )
-                            states.pop(request.request_id, None)
-                            waiting = [
-                                r for r in waiting
-                                if r.request_id != request.request_id
-                            ]
-                        for rid in decode_ids:
-                            self._settle(
-                                outcomes, originals, burn_stats, tel,
-                                states[rid].request, Outcome.FAILED,
-                                REASON_RETRY_BUDGET, None,
-                                states[rid].retries + attempt,
-                                now_us=fault_now,
-                            )
-                            arena.free(rid)
-                            active.remove(rid)
-                            del states[rid]
-                        now = fault_now
-                        makespan = max(makespan, now)
-                        abandoned = True
-                        break
-                    backoff = self.retry.backoff_us(attempt, jitter_rng)
-                    if tel is not None:
-                        tel.metrics.counter(
-                            metric_names.RETRIES_TOTAL,
-                            help="dispatch retries after transient faults",
-                        ).inc()
-                    start = fault_now + backoff
-                    attempt += 1
-                    continue
-                break
-            if abandoned:
+                    del states[request.request_id]
+                waiting = [r for r in waiting if r.request_id in states]
+                for rid in decode_ids:
+                    settle(
+                        states[rid].request, Outcome.FAILED,
+                        REASON_RETRY_BUDGET, None,
+                        states[rid].retries + attempt, now_us=now,
+                    )
+                    arena.free(rid)
+                    active.remove(rid)
+                    del states[rid]
+                makespan = max(makespan, now)
                 continue
 
             finish = start + service
@@ -724,8 +541,9 @@ class GenerationRuntime:
                         rid, np.zeros((1, hidden)), np.zeros((1, hidden))
                     )
 
-            for i, request in enumerate(prefills):
-                rid = request.request_id
+            prefilled = [r.request_id for r in prefills]
+            waiting = [r for r in waiting if r.request_id not in prefilled]
+            for i, rid in enumerate(prefilled + decode_ids):
                 state = states[rid]
                 state.tokens.append(
                     out[i] if out is not None else np.zeros(hidden)
@@ -733,23 +551,10 @@ class GenerationRuntime:
                 state.token_times.append(finish)
                 state.retries += attempt
                 generated += 1
-                waiting = [r for r in waiting if r.request_id != rid]
                 if state.done:
                     settle_served(state, finish)
-                else:
+                elif i < len(prefilled):
                     active.append(rid)
-            for j, rid in enumerate(decode_ids):
-                state = states[rid]
-                state.tokens.append(
-                    out[len(prefills) + j]
-                    if out is not None
-                    else np.zeros(hidden)
-                )
-                state.token_times.append(finish)
-                state.retries += attempt
-                generated += 1
-                if state.done:
-                    settle_served(state, finish)
             self.ladder.record_success(finish)
             if tel is not None:
                 tel.tracer.set_now(finish)
@@ -776,9 +581,7 @@ class GenerationRuntime:
                     tile=round_.prefill_tile or None,
                 )
 
-        # -- end-of-run gauges & the no-silent-loss contract -----------
         if tel is not None:
-            tel.tracer.set_now(makespan)
             tel.metrics.gauge(
                 metric_names.KV_BYTES_LIVE,
                 help="modelled KV bytes live at the end of the replay",
@@ -787,55 +590,22 @@ class GenerationRuntime:
                 metric_names.KV_BYTES_PEAK,
                 help="modelled peak KV bytes over the replay",
             ).set(arena.peak_live_bytes)
-            tel.metrics.gauge(
-                metric_names.GPU_BUSY_US,
-                help="modelled GPU busy time (us)",
-            ).set(busy)
-            tel.metrics.gauge(
-                metric_names.MAKESPAN_US,
-                help="modelled makespan of the replay (us)",
-            ).set(makespan)
-            if self.graph_cache is not None:
-                lookups = self.graph_cache.hits + self.graph_cache.misses
-                tel.metrics.gauge(
-                    metric_names.GRAPH_REPLAY_HIT_RATE,
-                    help="launch-graph cache hit rate over the run",
-                ).set(
-                    self.graph_cache.hits / lookups if lookups else 0.0
-                )
-        missing = [
-            r.request_id
-            for r in trace.requests
-            if r.request_id not in outcomes
-        ]
-        if missing:
-            raise RuntimeError(
-                f"generation runtime lost requests {missing}: every "
-                "request must settle as served/shed/failed/rejected"
-            )
-        outputs = {
-            rid: np.stack(state.tokens)
-            for rid, state in states.items()
-            if state.tokens
-            and outcomes[rid].outcome is Outcome.SERVED
-            and self.compute_outputs
-        }
-        token_times = {
-            rid: tuple(state.token_times)
-            for rid, state in states.items()
-            if state.token_times
-        }
+        shared = run.finish([busy], makespan)
+        cache = self.graph_cache
         return GenerationReport(
-            outcomes=tuple(
-                outcomes[r.request_id] for r in trace.requests
-            ),
-            transitions=tuple(self.ladder.transitions),
-            injected_faults=tuple(plan_faults.injected),
-            top_level=self.ladder.levels[0].name,
-            gpu_busy_us=busy,
-            makespan_us=makespan,
-            outputs=outputs,
-            token_times=token_times,
+            **shared,
+            outputs={
+                rid: np.stack(state.tokens)
+                for rid, state in states.items()
+                if state.tokens
+                and run.outcomes[rid].outcome is Outcome.SERVED
+                and self.compute_outputs
+            },
+            token_times={
+                rid: tuple(state.token_times)
+                for rid, state in states.items()
+                if state.token_times
+            },
             generated_tokens=generated,
             rounds=rounds,
             kv_stats={
@@ -845,126 +615,9 @@ class GenerationRuntime:
                 "swap_ins": float(arena.swap_ins),
                 "overflow_allocs": float(arena.overflow_allocs),
             },
-            graph_hits=self.graph_cache.hits if self.graph_cache else 0,
-            graph_lookups=(
-                self.graph_cache.hits + self.graph_cache.misses
-                if self.graph_cache
-                else 0
-            ),
+            graph_hits=cache.hits if cache else 0,
+            graph_lookups=cache.hits + cache.misses if cache else 0,
         )
-
-    # ------------------------------------------------------------------
-
-    def _settle(
-        self,
-        outcomes: dict[int, RequestOutcome],
-        originals: dict[int, Request],
-        burn_stats: dict[str, list[int]],
-        tel: Telemetry | None,
-        request: Request,
-        outcome: Outcome,
-        reason: str,
-        latency_us: float | None,
-        retries: int,
-        *,
-        now_us: float,
-        level: str | None = None,
-        token_times: tuple[float, ...] = (),
-    ) -> None:
-        orig = originals.get(request.request_id, request)
-        if latency_us is not None and orig.arrival_us != request.arrival_us:
-            latency_us += request.arrival_us - orig.arrival_us
-        if orig.request_id in outcomes:
-            raise RuntimeError(f"request {orig.request_id} settled twice")
-        outcomes[orig.request_id] = RequestOutcome(
-            request_id=orig.request_id,
-            outcome=outcome,
-            reason=reason,
-            latency_us=latency_us,
-            retries=retries,
-            level=level if level is not None else self.ladder.level.name,
-            tenant=orig.tenant,
-        )
-        gateway = self.gateway
-        policy = (
-            gateway.policies.get(orig.tenant) if gateway is not None else None
-        )
-        # per-token streaming accounting: TTFT then inter-token gaps,
-        # measured from the ORIGINAL arrival (gateway wait included)
-        per_token: list[float] = []
-        if token_times:
-            gateway_wait = request.arrival_us - orig.arrival_us
-            per_token.append(token_times[0] - request.arrival_us + gateway_wait)
-            per_token.extend(
-                b - a for a, b in zip(token_times, token_times[1:])
-            )
-        if tel is not None:
-            tel.metrics.counter(
-                metric_names.REQUESTS_TOTAL,
-                help="settled requests by final outcome",
-                outcome=outcome.value,
-            ).inc()
-            if outcome is Outcome.SHED:
-                tel.metrics.counter(
-                    metric_names.SHED_TOTAL,
-                    help="shed requests by reason",
-                    reason=reason,
-                ).inc()
-            if outcome is Outcome.SERVED and latency_us is not None:
-                tel.metrics.histogram(
-                    metric_names.REQUEST_LATENCY_US,
-                    help="end-to-end latency of served requests (us)",
-                    buckets=DEFAULT_LATENCY_BUCKETS_US,
-                ).observe(latency_us)
-            if per_token:
-                tel.metrics.histogram(
-                    metric_names.TTFT_US,
-                    help="time to first generated token (us)",
-                    buckets=DEFAULT_LATENCY_BUCKETS_US,
-                ).observe(per_token[0])
-                for gap in per_token[1:]:
-                    tel.metrics.histogram(
-                        metric_names.INTER_TOKEN_US,
-                        help="gap between consecutive tokens (us)",
-                        buckets=DEFAULT_LATENCY_BUCKETS_US,
-                    ).observe(gap)
-                if orig.tenant:
-                    for value in per_token:
-                        tel.metrics.histogram(
-                            metric_names.TENANT_DECODE_TOKEN_LATENCY_US,
-                            help="per-token latency by tenant (us)",
-                            buckets=DEFAULT_LATENCY_BUCKETS_US,
-                            tenant=orig.tenant,
-                        ).observe(value)
-            # the same rule as the encoder runtime: only multi-tenant
-            # traces grow the attr
-            root_attrs = {"tenant": orig.tenant} if orig.tenant else {}
-            tel.tracer.add_span(
-                "request",
-                category=REQUEST_CATEGORY,
-                start_us=orig.arrival_us,
-                end_us=max(orig.arrival_us, now_us),
-                request_id=orig.request_id,
-                seq_len=orig.seq_len,
-                outcome=outcome.value,
-                reason=reason,
-                retries=retries,
-                **root_attrs,
-            )
-        if policy is not None and policy.qos is QosClass.LATENCY_SLO:
-            stats = burn_stats.setdefault(orig.tenant, [0, 0])
-            stats[0] += 1
-            bad = outcome is not Outcome.SERVED
-            if not bad and policy.decode_slo_us is not None and per_token:
-                # a served stream whose token cadence blew the tenant's
-                # streaming SLO still burns the error budget
-                late = sum(1 for v in per_token if v > policy.decode_slo_us)
-                bad = late / len(per_token) > (1.0 - policy.slo_target)
-            if bad:
-                stats[1] += 1
-            budget = 1.0 - policy.slo_target
-            if budget > 0.0 and stats[1] / stats[0] > budget:
-                self.ladder.record_budget_burn(now_us)
 
 
 def generate_reference_outputs(

@@ -196,32 +196,11 @@ class ServingReport:
     def render_text(self) -> str:
         """Human-readable chaos replay summary."""
         lines = [
-            f"serving report: {self.num_requests} requests, "
-            f"makespan {self.makespan_us / 1000:.2f} ms, "
-            f"GPU busy {self.gpu_busy_us / 1000:.2f} ms",
-        ]
-        counts = self.counts()
-        lines.append(
+            self._headline(),
             "  outcomes: "
-            + ", ".join(f"{k}={v}" for k, v in counts.items())
-        )
-        faults = self.fault_counts()
-        lines.append(
-            "  injected faults: "
-            + (
-                ", ".join(f"{k}={v}" for k, v in sorted(faults.items()))
-                if faults
-                else "none"
-            )
-        )
-        for name, stats in self.latency_summary().items():
-            lines.append(
-                f"  latency[{name}] n={int(stats['count'])}: "
-                f"mean {stats['mean_ms']:.2f} ms, "
-                f"p50 {stats['p50_ms']:.2f}, "
-                f"p95 {stats['p95_ms']:.2f}, "
-                f"p99 {stats['p99_ms']:.2f}"
-            )
+            + ", ".join(f"{k}={v}" for k, v in self.counts().items()),
+            *self._detail_lines(),
+        ]
         if self.transitions:
             lines.append("  degradation transitions:")
             for t in self.transitions:
@@ -232,3 +211,97 @@ class ServingReport:
         else:
             lines.append("  degradation transitions: none")
         return "\n".join(lines)
+
+    def _headline(self) -> str:
+        return (
+            f"serving report: {self.num_requests} requests, "
+            f"makespan {self.makespan_us / 1000:.2f} ms, "
+            f"GPU busy {self.gpu_busy_us / 1000:.2f} ms"
+        )
+
+    def _detail_lines(self) -> list[str]:
+        faults = self.fault_counts()
+        lines = [
+            "  injected faults: "
+            + (
+                ", ".join(f"{k}={v}" for k, v in sorted(faults.items()))
+                if faults
+                else "none"
+            )
+        ]
+        for name, stats in self.latency_summary().items():
+            lines.append(
+                f"  latency[{name}] n={int(stats['count'])}: "
+                f"mean {stats['mean_ms']:.2f} ms, "
+                f"p50 {stats['p50_ms']:.2f}, "
+                f"p95 {stats['p95_ms']:.2f}, "
+                f"p99 {stats['p99_ms']:.2f}"
+            )
+        return lines
+
+
+@dataclass(frozen=True)
+class GenerationReport(ServingReport):
+    """Everything one decode chaos replay is accountable for; ``outputs``
+    holds each served stream's generated rows, ``rid -> [T, H]``."""
+
+    #: simulated finish instant of each generated token, per request
+    token_times: dict[int, tuple[float, ...]] = field(
+        default_factory=dict, compare=False
+    )
+    generated_tokens: int = 0
+    rounds: int = 0
+    kv_stats: dict[str, float] = field(default_factory=dict, compare=False)
+    graph_hits: int = 0
+    graph_lookups: int = 0
+
+    def counts(self) -> dict[str, int]:
+        """Outcome tally; the four values sum to the request count."""
+        return {
+            "served": len(self.served),
+            "shed": len(self.shed),
+            "failed": len(self.failed),
+            "rejected": len(self.rejected),
+        }
+
+    @property
+    def us_per_token(self) -> float:
+        """Modelled GPU µs per generated token — the headline metric."""
+        if not self.generated_tokens:
+            return float("inf")
+        return self.gpu_busy_us / self.generated_tokens
+
+    @property
+    def graph_hit_rate(self) -> float:
+        if not self.graph_lookups:
+            return 0.0
+        return self.graph_hits / self.graph_lookups
+
+    def ttft_us(self, rid: int, arrival_us: float) -> float | None:
+        times = self.token_times.get(rid)
+        if not times:
+            return None
+        return times[0] - arrival_us
+
+    def _headline(self) -> str:
+        return (
+            f"generation report: {self.num_requests} requests, "
+            f"{self.generated_tokens} tokens in {self.rounds} rounds, "
+            f"makespan {self.makespan_us / 1000:.2f} ms, "
+            f"GPU busy {self.gpu_busy_us / 1000:.2f} ms "
+            f"({self.us_per_token:.2f} us/token)"
+        )
+
+    def _detail_lines(self) -> list[str]:
+        lines = [
+            f"  graph cache: {self.graph_hits}/{self.graph_lookups} replays "
+            f"(hit rate {self.graph_hit_rate:.2f})"
+        ]
+        if self.kv_stats:
+            lines.append(
+                "  kv arena: "
+                + ", ".join(
+                    f"{k}={v:g}" for k, v in sorted(self.kv_stats.items())
+                )
+            )
+        return lines

@@ -9,6 +9,9 @@ with exponential backoff on the simulated clock, deadline shedding and
 turning into late timeouts, and a
 :class:`~repro.serving.degradation.DegradationLadder` steps the kernels
 onto conservative paths under pressure and back up after a cool-down.
+The request lifecycle (settlement, the gateway pre-pass, fault retry and
+the end-of-run checks) is :class:`~repro.serving.core.ServingCore`'s;
+this module is the encoder adapter and keeps its own scheduling loop.
 
 Two planes, one contract
 ------------------------
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import contextlib
 from collections import deque
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from repro.core.model import BertEncoderModel
 from repro.gpusim.graph import GraphCache
 from repro.kernels.activation import force_gelu_variant
 from repro.gpusim.device import A100_SPEC, DeviceSpec
-from repro.gpusim.errors import TransientFault
 from repro.gpusim.stream import ExecutionContext, NullContext
 from repro.serving.continuous import (
     ContinuousBatcher,
@@ -46,15 +48,14 @@ from repro.serving.continuous import (
     scatter_outputs,
 )
 from repro.serving.admission import AdmissionController
+from repro.serving.core import ServingCore
 from repro.serving.degradation import DegradationLadder, DegradationLevel
-from repro.serving.faults import NO_FAULTS, FaultPlan, FaultSpec
+from repro.serving.faults import NO_FAULTS, FaultSpec
 from repro.serving.gateway import AdmissionGateway, QosClass
 from repro.serving.report import (
     Outcome,
     REASON_ADMISSION,
-    REASON_DEADLINE,
     REASON_RETRY_BUDGET,
-    RequestOutcome,
     ServingReport,
 )
 from repro.serving.retry import RetryPolicy
@@ -63,7 +64,6 @@ from repro.telemetry import (
     COUNT_BUCKETS,
     DEFAULT_LATENCY_BUCKETS_US,
     RATIO_BUCKETS,
-    REQUEST_CATEGORY,
     Telemetry,
     use_telemetry,
 )
@@ -73,7 +73,6 @@ from repro.workloads.batching import (
     Dispatch,
     TimeoutBatcher,
     dispatch_padded_len,
-    shed_expired,
 )
 from repro.workloads.serving import Request, ServingTrace
 
@@ -203,42 +202,37 @@ class ServingRuntime:
                 shard=self.shard, cache=self.graph_cache,
             )
 
-    def _price_tile(
-        self,
-        ctx: ExecutionContext,
-        tile: int,
-        max_seq_len: int,
-        level: DegradationLevel,
-    ) -> float:
-        """Price a continuous megabatch: the tile's canonical launch
-        chain, graph-cached by ``(device, cluster, config, preset, path,
-        shard, tile)`` so identical tiles replay regardless of their
-        composition."""
-        with force_mha_path(level.mha_path):
-            return estimate_model_tiled(
-                ctx, self.config, self.opt, tile, max_seq_len,
-                shard=self.shard, cache=self.graph_cache,
-            )
-
     def _estimate_service(
         self,
         requests: list[Request],
         max_seq_len: int,
         level: DegradationLevel,
         tile: int | None = None,
+        ctx: ExecutionContext | None = None,
     ) -> float:
-        """Fault-free service estimate for a group at the given level."""
-        if tile is not None:
-            return self._price_tile(
-                self._new_ctx(), tile, max_seq_len, level
+        """Service time of a group at the given level.
+
+        A continuous megabatch prices its ``tile``'s canonical launch
+        chain, graph-cached by ``(device, cluster, config, preset, path,
+        shard, tile)`` so identical tiles replay regardless of their
+        composition; any other group is padded to its rounded maximum.
+        Priced on a fresh fault-free context unless ``ctx`` is given.
+        """
+        if ctx is None:
+            ctx = self._new_ctx()
+        if tile is None:
+            dispatch = Dispatch(requests=tuple(requests), ready_us=0.0)
+            return self._price(
+                ctx,
+                dispatch.seq_lens,
+                dispatch_padded_len(dispatch, max_seq_len),
+                level,
             )
-        dispatch = Dispatch(requests=tuple(requests), ready_us=0.0)
-        return self._price(
-            self._new_ctx(),
-            dispatch.seq_lens,
-            dispatch_padded_len(dispatch, max_seq_len),
-            level,
-        )
+        with force_mha_path(level.mha_path):
+            return estimate_model_tiled(
+                ctx, self.config, self.opt, tile, max_seq_len,
+                shard=self.shard, cache=self.graph_cache,
+            )
 
     def estimate_service_rate(self, max_seq_len: int) -> float:
         """Modelled drain capacity in sequence tokens per simulated µs.
@@ -253,9 +247,8 @@ class ServingRuntime:
             tile = max(self.batcher.effective_tiles())
         else:
             tile = max(64, min(512, max_seq_len))
-        service = self._price_tile(
-            self._new_ctx(), tile, max_seq_len,
-            self.ladder.levels[0],
+        service = self._estimate_service(
+            [], max_seq_len, self.ladder.levels[0], tile
         )
         # data-parallel replicas drain independently: aggregate capacity
         # scales with the lane count (tp groups are one lane — their
@@ -342,27 +335,6 @@ class ServingRuntime:
 
     # ------------------------------------------------------------------
 
-    def generate(self, trace: ServingTrace, **kwargs):
-        """Serve an autoregressive trace through the decode stack.
-
-        Convenience delegate: builds a
-        :class:`~repro.serving.generation.GenerationRuntime` sharing
-        this runtime's config, device, seed, fault spec, retry policy
-        and gateway, and replays ``trace`` through mixed prefill/decode
-        rounds.  Keyword arguments are forwarded (e.g.
-        ``kv_capacity_tokens=...``, ``batcher=...``).
-        """
-        from repro.serving.generation import GenerationRuntime
-
-        kwargs.setdefault("retry", self.retry)
-        kwargs.setdefault("gateway", self.gateway)
-        kwargs.setdefault("faults", self.faults)
-        kwargs.setdefault("device", self.device)
-        kwargs.setdefault("seed", self.seed)
-        kwargs.setdefault("telemetry", self.telemetry)
-        runtime = GenerationRuntime(self.config, **kwargs)
-        return runtime.run(trace)
-
     def run(self, trace: ServingTrace) -> ServingReport:
         """Chaos-replay ``trace``; every request gets exactly one outcome.
 
@@ -374,116 +346,10 @@ class ServingRuntime:
         with use_telemetry(self.telemetry):
             return self._run(trace)
 
-    def _record_settle(
-        self,
-        tel: Telemetry,
-        request: Request,
-        outcome: Outcome,
-        reason: str,
-        latency_us: float | None,
-        retries: int,
-    ) -> None:
-        """Metrics + the request-root span for one settled request."""
-        metrics = tel.metrics
-        metrics.counter(
-            metric_names.REQUESTS_TOTAL,
-            help="settled requests by final outcome",
-            outcome=outcome.value,
-        ).inc()
-        if outcome is Outcome.SHED:
-            metrics.counter(
-                metric_names.SHED_TOTAL,
-                help="shed requests by reason",
-                reason=reason,
-            ).inc()
-        metrics.histogram(
-            metric_names.REQUEST_RETRIES,
-            help="transient-fault retries per request",
-            buckets=COUNT_BUCKETS,
-        ).observe(retries)
-        end_us = max(request.arrival_us, tel.tracer.now_us)
-        if outcome is Outcome.SERVED and latency_us is not None:
-            metrics.histogram(
-                metric_names.REQUEST_LATENCY_US,
-                help="end-to-end latency of served requests (us)",
-                buckets=DEFAULT_LATENCY_BUCKETS_US,
-            ).observe(latency_us)
-            end_us = request.arrival_us + latency_us
-        if request.deadline_us is not None:
-            metrics.counter(
-                metric_names.DEADLINE_REQUESTS_TOTAL,
-                help="settled requests that carried a deadline",
-            ).inc()
-            if (
-                outcome is Outcome.SERVED
-                and latency_us is not None
-                and latency_us <= request.deadline_us
-            ):
-                metrics.counter(
-                    metric_names.DEADLINE_MET_TOTAL,
-                    help="deadline-carrying requests served in time",
-                ).inc()
-        if request.tenant:
-            # tenant-labelled mirrors of the serving series; new metric
-            # names so the un-labelled global series (and everything
-            # reading them) stay exactly as before
-            metrics.counter(
-                metric_names.TENANT_REQUESTS_TOTAL,
-                help="settled requests by tenant and final outcome",
-                tenant=request.tenant,
-                outcome=outcome.value,
-            ).inc()
-            if outcome is Outcome.SHED:
-                metrics.counter(
-                    metric_names.TENANT_SHED_TOTAL,
-                    help="shed requests by tenant and reason",
-                    tenant=request.tenant,
-                    reason=reason,
-                ).inc()
-            if outcome is Outcome.SERVED and latency_us is not None:
-                metrics.histogram(
-                    metric_names.TENANT_REQUEST_LATENCY_US,
-                    help="end-to-end served latency by tenant (us)",
-                    buckets=DEFAULT_LATENCY_BUCKETS_US,
-                    tenant=request.tenant,
-                ).observe(latency_us)
-            if request.deadline_us is not None:
-                metrics.counter(
-                    metric_names.TENANT_DEADLINE_REQUESTS_TOTAL,
-                    help="deadline-carrying settled requests by tenant",
-                    tenant=request.tenant,
-                ).inc()
-                if (
-                    outcome is Outcome.SERVED
-                    and latency_us is not None
-                    and latency_us <= request.deadline_us
-                ):
-                    metrics.counter(
-                        metric_names.TENANT_DEADLINE_MET_TOTAL,
-                        help="deadline-carrying requests served in time, "
-                        "by tenant",
-                        tenant=request.tenant,
-                    ).inc()
-        root_attrs: dict = {}
-        if request.tenant:
-            # only multi-tenant traces grow the attr, so single-tenant
-            # span dumps stay byte-identical to earlier releases
-            root_attrs["tenant"] = request.tenant
-        tel.tracer.add_span(
-            "request",
-            category=REQUEST_CATEGORY,
-            start_us=request.arrival_us,
-            end_us=end_us,
-            request_id=request.request_id,
-            seq_len=request.seq_len,
-            outcome=outcome.value,
-            reason=reason,
-            retries=retries,
-            **root_attrs,
-        )
-
     def _run(self, trace: ServingTrace) -> ServingReport:
-        self.ladder.reset()
+        run = ServingCore(self, trace)
+        settle = run.settle
+        tel = run.tel
         if self.numerics is not None and isinstance(
             self.batcher, ContinuousBatcher
         ):
@@ -493,73 +359,7 @@ class ServingRuntime:
             self.numerics.prereserve_tiles(
                 self.batcher.effective_tiles(), trace.max_seq_len
             )
-        plan_faults = FaultPlan(self.faults, seed=self.seed)
-        jitter_rng = np.random.default_rng([self.seed, 0x5E])
-        outcomes: dict[int, RequestOutcome] = {}
         outputs: dict[int, np.ndarray] = {}
-        gateway = self.gateway
-        #: gateway-admitted requests by id, keyed to the *original*
-        #: (pre-re-anchoring) request — settling always accounts against
-        #: the original arrival and deadline
-        originals: dict[int, Request] = {}
-        #: per-SLO-tenant running [settled, bad] counts for budget burn
-        burn_stats: dict[str, list[int]] = {}
-        tel = self.telemetry
-        if tel is not None and not tel.owns_current_thread():
-            tel = None
-
-        def settle(
-            request: Request,
-            outcome: Outcome,
-            reason: str,
-            latency_us: float | None,
-            retries: int,
-            *,
-            now_us: float | None = None,
-            level: str | None = None,
-        ) -> None:
-            orig = originals.get(request.request_id, request)
-            if (
-                latency_us is not None
-                and orig.arrival_us != request.arrival_us
-            ):
-                # dispatches hold gateway-re-anchored requests; fold the
-                # gateway queue wait back in so the recorded latency is
-                # end-to-end from the original arrival
-                latency_us += request.arrival_us - orig.arrival_us
-            if orig.request_id in outcomes:
-                raise RuntimeError(
-                    f"request {orig.request_id} settled twice"
-                )
-            outcomes[orig.request_id] = RequestOutcome(
-                request_id=orig.request_id,
-                outcome=outcome,
-                reason=reason,
-                latency_us=latency_us,
-                retries=retries,
-                level=level if level is not None else self.ladder.level.name,
-                tenant=orig.tenant,
-            )
-            if gateway is not None:
-                policy = gateway.policies.get(orig.tenant)
-                if policy is not None and policy.qos is QosClass.LATENCY_SLO:
-                    stats = burn_stats.setdefault(orig.tenant, [0, 0])
-                    stats[0] += 1
-                    if outcome is not Outcome.SERVED:
-                        stats[1] += 1
-                    budget = 1.0 - policy.slo_target
-                    if budget > 0.0 and stats[1] / stats[0] > budget:
-                        # the tenant's error budget is burning: pressure
-                        # the ladder so *batch-class* dispatches degrade
-                        # (SLO dispatches stay pinned to the top rung)
-                        t = now_us
-                        if t is None:
-                            t = orig.arrival_us + (latency_us or 0.0)
-                        self.ladder.record_budget_burn(t)
-            if tel is not None:
-                self._record_settle(
-                    tel, orig, outcome, reason, latency_us, retries
-                )
 
         #: (qos, home device, pending dispatches) in replay-priority
         #: order; qos is None on the single-tenant path.  Each entry is
@@ -582,98 +382,15 @@ class ServingRuntime:
                 )
                 queues.append((qos, dev, deque(routed_plan)))
 
-        if gateway is not None:
+        if self.gateway is not None:
             # -- multi-tenant gateway pre-pass --------------------------
-            if gateway.service_rate is None:
-                gateway.service_rate = self.estimate_service_rate(
-                    trace.max_seq_len
-                )
-            gate = gateway.process(trace)
-            for event in gate.rejected:
-                if tel is not None:
-                    tel.tracer.set_now(event.t_us)
-                    tel.metrics.counter(
-                        metric_names.GATEWAY_REJECTED_TOTAL,
-                        help="gateway rejections by tenant and reason",
-                        tenant=event.request.tenant,
-                        reason=event.reason,
-                    ).inc()
-                    if event.retry_after_us is not None and np.isfinite(
-                        event.retry_after_us
-                    ):
-                        tel.metrics.histogram(
-                            metric_names.GATEWAY_RETRY_AFTER_US,
-                            help="retry-after attached to rate-limit "
-                            "rejections (us)",
-                            buckets=DEFAULT_LATENCY_BUCKETS_US,
-                        ).observe(event.retry_after_us)
-                    tel.tracer.instant(
-                        "gateway.reject",
-                        category="gateway",
-                        t_us=event.t_us,
-                        request_id=event.request.request_id,
-                        tenant=event.request.tenant,
-                        reason=event.reason,
-                    )
-                settle(
-                    event.request, Outcome.REJECTED, event.reason, None, 0,
-                    now_us=event.t_us,
-                )
-            for event in gate.shed:
-                if tel is not None:
-                    tel.tracer.set_now(event.t_us)
-                    tel.tracer.instant(
-                        "gateway.shed",
-                        category="gateway",
-                        t_us=event.t_us,
-                        request_id=event.request.request_id,
-                        tenant=event.request.tenant,
-                        reason=event.reason,
-                    )
-                settle(
-                    event.request, Outcome.SHED, event.reason, None, 0,
-                    now_us=event.t_us,
-                )
-            by_class: dict[QosClass, list[Request]] = {
-                QosClass.LATENCY_SLO: [],
-                QosClass.THROUGHPUT_BATCH: [],
-            }
-            for sched in gate.admitted:
-                orig = sched.request
-                originals[orig.request_id] = orig
-                wait = sched.release_us - orig.arrival_us
-                if tel is not None:
-                    tel.tracer.set_now(sched.release_us)
-                    tel.metrics.histogram(
-                        metric_names.GATEWAY_RELEASE_WAIT_US,
-                        help="gateway queue wait of admitted requests (us)",
-                        buckets=DEFAULT_LATENCY_BUCKETS_US,
-                    ).observe(wait)
-                deadline = orig.deadline_us
-                if deadline is not None:
-                    deadline = deadline - wait
-                    if deadline <= 0.0:
-                        # the deadline expired while queued at the gateway
-                        self.ladder.record_deadline_miss(sched.release_us)
-                        settle(
-                            orig, Outcome.SHED, REASON_DEADLINE, None, 0,
-                            now_us=sched.release_us,
-                        )
-                        continue
-                by_class[gateway.qos_of(orig.tenant)].append(
-                    replace(
-                        orig,
-                        arrival_us=sched.release_us,
-                        deadline_us=deadline,
-                    )
-                )
+            gated = run.gateway_pass(self.estimate_service_rate)
             # class-pure plans: each QoS class is batched on its own, so
             # a dispatch is degradable (batch) or protected (SLO) as a
             # whole; SLO before batch is the replay priority order, and
             # each class is Σlen²-routed across the replicas on its own
             for qos in (QosClass.LATENCY_SLO, QosClass.THROUGHPUT_BATCH):
-                if by_class[qos]:
-                    plan_routed(qos, by_class[qos])
+                plan_routed(qos, [r for c, r in gated if c is qos])
         else:
             # -- admission: reject early under overload -----------------
             admitted: list[Request] = []
@@ -698,7 +415,10 @@ class ServingRuntime:
                             request_id=request.request_id,
                             backlog_us=backlog,
                         )
-                    settle(request, Outcome.SHED, REASON_ADMISSION, None, 0)
+                    settle(
+                        request, Outcome.SHED, REASON_ADMISSION, None, 0,
+                        now_us=request.arrival_us,
+                    )
                     continue
                 if tel is not None:
                     tel.tracer.instant(
@@ -794,13 +514,7 @@ class ServingRuntime:
                     tile=dispatch.tile,
                     ready_us=dispatch.ready_us,
                 )
-            alive, expired = shed_expired(list(dispatch.requests), start)
-            for request in expired:
-                self.ladder.record_deadline_miss(start)
-                settle(
-                    request, Outcome.SHED, REASON_DEADLINE, None, 0,
-                    now_us=start,
-                )
+            alive = run.shed_expired(list(dispatch.requests), start)
             if alive:
                 # shed members that cannot finish inside their budget even
                 # if the dispatch started right now
@@ -812,11 +526,7 @@ class ServingRuntime:
                 for request in alive:
                     limit = request.absolute_deadline_us
                     if limit is not None and start + est > limit:
-                        self.ladder.record_deadline_miss(start)
-                        settle(
-                            request, Outcome.SHED, REASON_DEADLINE, None, 0,
-                            now_us=start,
-                        )
+                        run.shed_for_deadline(request, start)
                     else:
                         still_alive.append(request)
                 alive = still_alive
@@ -824,12 +534,7 @@ class ServingRuntime:
             attempt = 0
             while alive:
                 level = dispatch_level(qos)
-                ctx = plan_faults.install(self._new_ctx())
-                lens = np.asarray(
-                    [r.seq_len for r in alive], dtype=np.int64
-                )
-                tile = None
-                padded = None
+                valid = sum(r.seq_len for r in alive)
                 if tel is not None:
                     tel.tracer.set_now(start)
                     tel.tracer.begin(
@@ -841,67 +546,52 @@ class ServingRuntime:
                         batch=len(alive),
                         device=exec_dev,
                     )
-                try:
-                    if dispatch.tile is not None:
-                        # megabatch: survivors of a faulted attempt were
-                        # re-shed above, so this attempt covers only the
-                        # still-affected segments — re-quantized, usually
-                        # onto a smaller (still graph-cached) tile
-                        tile = retile(
-                            int(lens.sum()), self.batcher, dispatch.tile
-                        )
-                        service = self._price_tile(
-                            ctx, tile, trace.max_seq_len, level
-                        )
-                    else:
-                        padded = dispatch_padded_len(
-                            Dispatch(requests=tuple(alive), ready_us=start),
-                            trace.max_seq_len,
-                        )
-                        service = self._price(ctx, lens, padded, level)
-                except TransientFault:
+                # megabatch: survivors of a faulted attempt were re-shed
+                # below, so this attempt covers only the still-affected
+                # segments — re-quantized, usually onto a smaller (still
+                # graph-cached) tile
+                tile = (
+                    None
+                    if dispatch.tile is None
+                    else retile(valid, self.batcher, dispatch.tile)
+                )
+                ctx = self._new_ctx()
+                service = run.attempt(
+                    ctx,
+                    partial(
+                        self._estimate_service,
+                        alive, trace.max_seq_len, level, tile,
+                    ),
+                )
+                if service is None:
                     # the chain ran up to the faulted kernel: that time is
                     # burnt on the device that ran the attempt, and the
                     # retry stays on that same device (segment-scoped,
                     # device-local — no cross-device re-route mid-request)
-                    partial = ctx.elapsed_us()
-                    busy[exec_dev] += partial
-                    now = start + partial
+                    burnt = ctx.elapsed_us()
+                    busy[exec_dev] += burnt
+                    now = start + burnt
                     if tel is not None:
                         tel.tracer.set_now(now)
                         tel.tracer.end(fault=True)  # the attempt span
                         tel.add_kernel_segment(
                             start, ctx.records, device=exec_dev
                         )
-                        tel.metrics.counter(
-                            metric_names.FAULTS_TOTAL,
-                            help="transient faults injected into attempts",
-                        ).inc()
                         tel.tracer.instant(
                             "fault", category="fault", t_us=now,
                             attempt=attempt,
                         )
-                    self.ladder.record_fault(now)
-                    if attempt >= self.retry.max_retries:
+                    backoff = run.retry_after_fault(now, attempt)
+                    if backoff is None:
                         free[exec_dev] = now
                         for request in alive:
                             settle(
-                                request,
-                                Outcome.FAILED,
-                                REASON_RETRY_BUDGET,
-                                None,
-                                attempt,
-                                now_us=now,
+                                request, Outcome.FAILED, REASON_RETRY_BUDGET,
+                                None, attempt, now_us=now,
                             )
-                        alive = []
                         break
-                    backoff = self.retry.backoff_us(attempt, jitter_rng)
                     start = now + backoff
                     if tel is not None:
-                        tel.metrics.counter(
-                            metric_names.RETRIES_TOTAL,
-                            help="dispatch retries after transient faults",
-                        ).inc()
                         tel.tracer.begin(
                             "retry.backoff",
                             category="retry",
@@ -913,13 +603,7 @@ class ServingRuntime:
                         tel.tracer.end()
                     attempt += 1
                     # deadlines keep ticking during backoff
-                    alive, expired = shed_expired(alive, start)
-                    for request in expired:
-                        self.ladder.record_deadline_miss(start)
-                        settle(
-                            request, Outcome.SHED, REASON_DEADLINE, None,
-                            attempt, now_us=start,
-                        )
+                    alive = run.shed_expired(alive, start, attempt)
                     continue
                 finish = start + service
                 busy[exec_dev] += service
@@ -929,10 +613,12 @@ class ServingRuntime:
                     tel.add_kernel_segment(
                         start, ctx.records, device=exec_dev
                     )
-                    valid = int(lens.sum())
-                    capacity = (
-                        tile if tile is not None else len(alive) * padded
-                    )
+                    capacity = tile
+                    if tile is None:
+                        capacity = len(alive) * dispatch_padded_len(
+                            Dispatch(requests=tuple(alive), ready_us=start),
+                            trace.max_seq_len,
+                        )
                     tel.metrics.histogram(
                         metric_names.VALID_TOKEN_UTILIZATION,
                         help="valid tokens over dispatch capacity",
@@ -979,78 +665,10 @@ class ServingRuntime:
                             )
                         )
                     tel.tracer.end(**attempt_attrs)  # the attempt span
-                alive = []
+                break
             if tel is not None:
                 tel.tracer.end()  # the dispatch span
 
-        busy_us = sum(busy)
-        makespan_us = max(free)
-        if tel is not None:
-            tel.tracer.set_now(makespan_us)
-            gauges = tel.metrics
-            gauges.gauge(
-                metric_names.GPU_BUSY_US,
-                help="modelled GPU busy time (us)",
-            ).set(busy_us)
-            gauges.gauge(
-                metric_names.MAKESPAN_US,
-                help="modelled makespan of the replay (us)",
-            ).set(makespan_us)
-            gauges.gauge(
-                metric_names.GPU_UTILIZATION,
-                help="busy time over makespan, across all replicas",
-            ).set(
-                busy_us / (makespan_us * self.replicas)
-                if makespan_us
-                else 0.0
-            )
-            if self.replicas > 1:
-                # per-device series only exist on multi-device runs, so
-                # a single-device registry is unchanged byte for byte
-                for dev, dev_busy in enumerate(busy):
-                    gauges.gauge(
-                        metric_names.DEVICE_BUSY_US,
-                        help="modelled busy time per device (us)",
-                        device=str(dev),
-                    ).set(dev_busy)
-                mean_busy = busy_us / self.replicas
-                gauges.gauge(
-                    metric_names.DEVICE_IMBALANCE,
-                    help="max over mean per-device busy time",
-                ).set(max(busy) / mean_busy if mean_busy else 0.0)
-                gauges.counter(
-                    metric_names.STEALS_TOTAL,
-                    help="dispatches run away from their routed device",
-                ).inc(steals)
-            if self.graph_cache is not None:
-                lookups = self.graph_cache.hits + self.graph_cache.misses
-                gauges.gauge(
-                    metric_names.GRAPH_REPLAY_HIT_RATE,
-                    help="launch-graph cache hit rate over the run",
-                ).set(self.graph_cache.hits / lookups if lookups else 0.0)
-
-        # -- the no-silent-loss contract, enforced ----------------------
-        missing = [
-            r.request_id
-            for r in trace.requests
-            if r.request_id not in outcomes
-        ]
-        if missing:
-            raise RuntimeError(
-                f"serving runtime lost requests {missing}: every request "
-                "must settle as served/shed/failed/rejected"
-            )
-
         return ServingReport(
-            outcomes=tuple(
-                outcomes[r.request_id] for r in trace.requests
-            ),
-            transitions=tuple(self.ladder.transitions),
-            injected_faults=tuple(plan_faults.injected),
-            top_level=self.ladder.levels[0].name,
-            gpu_busy_us=busy_us,
-            makespan_us=makespan_us,
-            outputs=outputs,
-            device_busy_us=tuple(busy),
-            work_steals=steals,
+            **run.finish(busy, max(free), steals=steals), outputs=outputs
         )

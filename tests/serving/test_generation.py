@@ -11,11 +11,15 @@ from repro.serving.generation import (
     generate_reference_outputs,
 )
 from repro.serving.report import Outcome, REASON_ADMISSION
-from repro.telemetry import Telemetry
+from repro.telemetry import SloReport, Telemetry
 from repro.telemetry.slo import (
     DECODE_TOKENS_TOTAL,
+    GATEWAY_REJECTED_TOTAL,
+    GATEWAY_RELEASE_WAIT_US,
+    GATEWAY_RETRY_AFTER_US,
     KV_BYTES_PEAK,
     KV_EVICTIONS_TOTAL,
+    REQUEST_RETRIES,
 )
 from repro.workloads.serving import (
     GenerationRequest,
@@ -227,15 +231,54 @@ class TestGateway:
         assert len(report.served) == 8
         assert_served_bitwise(runtime, trace, report)
 
+    @staticmethod
+    def rate_limited_run():
+        """16 deadline-carrying requests of one SLO tenant; the token
+        bucket turns 11 of them away at the gateway."""
+        tel = Telemetry()
+        trace = gen_trace(n=16, tenant="chat", deadline_us=5_000.0)
+        runtime = GenerationRuntime(
+            CFG,
+            seed=0,
+            telemetry=tel,
+            gateway=AdmissionGateway(
+                [
+                    TenantPolicy(
+                        "chat",
+                        qos=QosClass.LATENCY_SLO,
+                        rate_tokens_per_s=1e5,
+                        burst_tokens=64,
+                    )
+                ]
+            ),
+        )
+        return runtime.run(trace), tel
 
-class TestRuntimeDelegate:
-    def test_serving_runtime_generate(self):
-        from repro.serving.runtime import ServingRuntime
+    def test_settles_feed_tenant_and_deadline_series(self):
+        report, tel = self.rate_limited_run()
+        assert report.counts() == {
+            "served": 5, "shed": 0, "failed": 0, "rejected": 11,
+        }
+        tenant = SloReport.for_tenant(tel.metrics, "chat")
+        assert (tenant.total, tenant.served, tenant.rejected) == (16, 5, 11)
+        assert tenant.with_deadline == 16
+        overall = SloReport.from_registry(tel.metrics)
+        assert (overall.total, overall.with_deadline) == (16, 16)
+        assert tel.metrics.find(REQUEST_RETRIES).count == 16
 
-        trace = gen_trace(n=4)
-        report = ServingRuntime(CFG).generate(trace)
-        assert len(report.served) == 4
-        assert report.generated_tokens > 0
+    def test_gateway_rejections_are_observed(self):
+        report, tel = self.rate_limited_run()
+        gateway = [s for s in tel.tracer.spans if s.category == "gateway"]
+        assert [s.name for s in gateway] == ["gateway.reject"] * 11
+        assert sorted(s.request_id for s in gateway) == sorted(
+            o.request_id for o in report.rejected
+        )
+        rejected = tel.metrics.find(
+            GATEWAY_REJECTED_TOTAL, tenant="chat", reason="rate-limit"
+        )
+        assert rejected.value == 11
+        assert tel.metrics.find(GATEWAY_RETRY_AFTER_US).count == 11
+        assert tel.metrics.find(GATEWAY_RELEASE_WAIT_US).count == 5
 
 
 class TestReport:

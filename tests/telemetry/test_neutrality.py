@@ -15,15 +15,19 @@ import pytest
 from repro.core.config import BertConfig
 from repro.core.model import BertEncoderModel
 from repro.serving import (
+    AdmissionGateway,
     DegradationLadder,
     FaultSpec,
     NO_FAULTS,
+    QosClass,
     ServingRuntime,
+    TenantPolicy,
 )
+from repro.serving.generation import GenerationRuntime
 from repro.telemetry import Telemetry
 from repro.workloads.batching import ContinuousBatcher, TimeoutBatcher
 from repro.workloads.generator import LengthDistribution
-from repro.workloads.serving import make_trace
+from repro.workloads.serving import make_generation_trace, make_trace
 
 CONFIG = BertConfig(num_heads=4, head_size=16, num_layers=2)
 CHAOS = FaultSpec(
@@ -184,6 +188,48 @@ def test_observe_attribution_neutral_over_length_matrix(distribution, faults):
     # the attribution actually decomposed the replay it observed
     assert cp.requests and cp.batches
 
+
+
+def test_decode_replay_neutral():
+    """Decode serving through a rate-limiting gateway, under faults on
+    every kernel, with a 128-token KV arena below the working set."""
+    trace = make_generation_trace(
+        16, 64, decode_tokens=8, mean_interarrival_us=5.0,
+        tenant="chat", deadline_us=20_000.0,
+    )
+
+    def replay(telemetry):
+        gateway = AdmissionGateway(
+            [
+                TenantPolicy(
+                    "chat", qos=QosClass.LATENCY_SLO, slo_target=0.5,
+                    rate_tokens_per_s=5e5, burst_tokens=256,
+                    decode_slo_us=2_000.0,
+                )
+            ]
+        )
+        return GenerationRuntime(
+            CONFIG,
+            gateway=gateway,
+            faults=FaultSpec(launch_failure_rate=0.04, transient_oom_rate=0.02),
+            kv_capacity_tokens=128,
+            seed=11,
+            telemetry=telemetry,
+        ).run(trace)
+
+    off, on = replay(None), replay(Telemetry())
+    # the replay exercises what it claims to
+    assert off.rejected and off.failed and off.injected_faults
+    assert off.transitions and off.kv_stats["evictions"] > 0
+    assert on.outcome_log() == off.outcome_log()
+    assert on.gpu_busy_us == off.gpu_busy_us
+    assert on.makespan_us == off.makespan_us
+    assert on.injected_faults == off.injected_faults
+    assert on.transitions == off.transitions
+    assert on.token_times == off.token_times
+    assert set(on.outputs) == set(off.outputs)
+    for rid in off.outputs:
+        assert np.array_equal(on.outputs[rid], off.outputs[rid])
 
 def test_telemetry_actually_observed_something():
     # guard against the trivial way to pass neutrality: not recording
