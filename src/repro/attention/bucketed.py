@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.memory_planner import BUCKET_SCRATCH_SUFFIXES, LiveArena
 from repro.core.padding import PackedSeqs
 
 #: default bucket quantization; 1 == one bucket per distinct length
@@ -135,49 +134,6 @@ def softmax_lastaxis_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def acquire_bucket_scratch(
-    scratch: LiveArena,
-    buckets: list[LengthBucket],
-    num_heads: int,
-    head_size: int,
-    dtype: np.dtype,
-) -> list[dict[str, np.ndarray]]:
-    """Pre-acquire every bucket's scratch buffers from the arena.
-
-    All takes happen *before* any bucket work runs, so the live
-    placement sequence matches the symbolic plan.  Buffer names follow
-    the canonical ``mha.{i}.{suffix}`` scheme
-    :func:`~repro.core.memory_planner.plan_live_forward` plans with.
-    """
-    hidden = num_heads * head_size
-    bufs = []
-    for i, bucket in enumerate(buckets):
-        bsz, length = bucket.rows.shape
-        p = f"mha.{i}."
-        unit = (bsz, num_heads, length, head_size)
-        bufs.append(
-            {
-                "blk": scratch.take(p + "blk", (bsz * length, 3 * hidden), dtype),
-                "q": scratch.take(p + "q", unit, dtype),
-                "k": scratch.take(p + "k", unit, dtype),
-                "v": scratch.take(p + "v", unit, dtype),
-                "scores": scratch.take(
-                    p + "scores", (bsz, num_heads, length, length), dtype
-                ),
-                "ctx": scratch.take(p + "ctx", unit, dtype),
-                "merged": scratch.take(p + "merged", (bsz * length, hidden), dtype),
-            }
-        )
-    return bufs
-
-
-def release_bucket_scratch(scratch: LiveArena, num_buckets: int) -> None:
-    """Release what :func:`acquire_bucket_scratch` took, in take order."""
-    for i in range(num_buckets):
-        for suffix in BUCKET_SCRATCH_SUFFIXES:
-            scratch.release(f"mha.{i}.{suffix}")
-
-
 def _bucket_qkv(
     qkv_packed: np.ndarray,
     qkv_bias: np.ndarray,
@@ -203,30 +159,16 @@ def _bucket_qkv(
     return q, k.swapaxes(-1, -2), v
 
 
-def _bucket_qkv_into(
-    qkv_packed: np.ndarray,
-    qkv_bias: np.ndarray,
-    bucket: LengthBucket,
-    num_heads: int,
-    head_size: int,
-    bufs: dict[str, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_bucket_qkv` into pre-acquired scratch, bit for bit.
-
-    ``np.take`` with ``out=`` selects the same rows as fancy indexing,
-    the in-place bias add matches ``blk += qkv_bias``, and ``np.copyto``
-    into a contiguous buffer performs the same element copy as
-    ``np.ascontiguousarray`` — no value changes anywhere.
-    """
-    bsz, length = bucket.rows.shape
-    blk = bufs["blk"]
-    np.take(qkv_packed, bucket.rows.ravel(), axis=0, out=blk)
-    np.add(blk, qkv_bias, out=blk)
-    blk5 = blk.reshape(bsz, length, 3, num_heads, head_size)
-    np.copyto(bufs["q"], blk5[:, :, 0].transpose(0, 2, 1, 3))
-    np.copyto(bufs["k"], blk5[:, :, 1].transpose(0, 2, 1, 3))
-    np.copyto(bufs["v"], blk5[:, :, 2].transpose(0, 2, 1, 3))
-    return bufs["q"], bufs["k"].swapaxes(-1, -2), bufs["v"]
+def _scatter_bucket(
+    out: np.ndarray, bucket: LengthBucket, merged: np.ndarray
+) -> None:
+    """Write a bucket's ``[B' * s, H]`` rows back to their packed rows,
+    dropping the rows of padded positions."""
+    if bucket.valid is None:
+        out[bucket.rows.ravel()] = merged
+    else:
+        flat_valid = bucket.valid.ravel()
+        out[bucket.rows.ravel()[flat_valid]] = merged[flat_valid]
 
 
 def bucketed_sdpa(
@@ -237,49 +179,26 @@ def bucketed_sdpa(
     *,
     scale: float | None = None,
     bucket_step: int = DEFAULT_BUCKET_STEP,
-    out: np.ndarray | None = None,
-    scratch: LiveArena | None = None,
 ) -> np.ndarray:
     """Scaled-dot-product attention over all packed units, bucket by bucket.
 
     Numerically equivalent to the per-``(b, h)`` reference: exact
     buckets (``bucket_step=1``) are bit-identical; quantized buckets agree
     to fp32 rounding.  Returns the packed ``[T, H]`` attention output.
-
-    ``scratch`` routes every large per-bucket intermediate through the
-    live arena (bit-identical ``out=`` rewrites of the same ops); every
-    bucket's scratch is acquired before the first bucket runs.
     """
     tokens, three_hidden = qkv_packed.shape
     hidden = three_hidden // 3
     head_size = hidden // num_heads
     if scale is None:
         scale = 1.0 / math.sqrt(head_size)
-    if out is None:
-        out = np.empty((tokens, hidden), dtype=qkv_packed.dtype)
+    out = np.empty((tokens, hidden), dtype=qkv_packed.dtype)
 
-    buckets = build_buckets(packing, bucket_step)
-    bufs = (
-        acquire_bucket_scratch(
-            scratch, buckets, num_heads, head_size, qkv_packed.dtype
-        )
-        if scratch is not None
-        else None
-    )
-
-    def run_bucket(i: int) -> None:
-        bucket = buckets[i]
+    def run_bucket(bucket: LengthBucket) -> None:
         bsz, length = bucket.rows.shape
-        if bufs is None:
-            q, kt, v = _bucket_qkv(
-                qkv_packed, qkv_bias, bucket, num_heads, head_size
-            )
-            scores = np.matmul(q, kt)
-        else:
-            q, kt, v = _bucket_qkv_into(
-                qkv_packed, qkv_bias, bucket, num_heads, head_size, bufs[i]
-            )
-            scores = np.matmul(q, kt, out=bufs[i]["scores"])
+        q, kt, v = _bucket_qkv(
+            qkv_packed, qkv_bias, bucket, num_heads, head_size
+        )
+        scores = np.matmul(q, kt)
         scores *= scale
         if bucket.valid is not None:
             # only padded *key* columns poison real rows; padded query
@@ -290,28 +209,12 @@ def bucketed_sdpa(
                 where=~bucket.valid[:, None, None, :],
             )
         probs = softmax_lastaxis_inplace(scores)
-        if bufs is None:
-            attn = np.matmul(probs, v)
-            merged: np.ndarray = attn.transpose(0, 2, 1, 3).reshape(
-                bsz * length, hidden
-            )
-        else:
-            attn = np.matmul(probs, v, out=bufs[i]["ctx"])
-            merged = bufs[i]["merged"]
-            np.copyto(
-                merged.reshape(bsz, length, num_heads, head_size),
-                attn.transpose(0, 2, 1, 3),
-            )
-        if bucket.valid is None:
-            out[bucket.rows.ravel()] = merged
-        else:
-            flat_valid = bucket.valid.ravel()
-            out[bucket.rows.ravel()[flat_valid]] = merged[flat_valid]
+        attn = np.matmul(probs, v)
+        merged = attn.transpose(0, 2, 1, 3).reshape(bsz * length, hidden)
+        _scatter_bucket(out, bucket, merged)
 
     # one call per bucket: each bucket's temporaries are freed before the
     # next bucket allocates its own, which bounds the peak at one bucket
-    for i in range(len(buckets)):
-        run_bucket(i)
-    if scratch is not None:
-        release_bucket_scratch(scratch, len(buckets))
+    for bucket in build_buckets(packing, bucket_step):
+        run_bucket(bucket)
     return out

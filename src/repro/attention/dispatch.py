@@ -16,7 +16,6 @@ import numpy as np
 from repro.attention.fused_long import fused_long_mha
 from repro.attention.fused_short import fused_short_mha, supports
 from repro.attention.zeropad_softmax_mha import zeropad_softmax_mha
-from repro.core.memory_planner import LiveArena
 from repro.core.padding import PackedSeqs
 from repro.gpusim.stream import ExecutionContext, resolve_context
 from repro.kernels.grouped_gemm import SchedulerKind
@@ -65,15 +64,10 @@ def byte_mha(
     scheduler: SchedulerKind = SchedulerKind.WARP_PREFETCH,
     ctx: ExecutionContext | None = None,
     category: str = "attention",
-    out: np.ndarray | None = None,
-    scratch: LiveArena | None = None,
 ) -> np.ndarray:
     """ByteTransformer's fused MHA: pick the short or long kernel.
 
     Packed ``[T, 3H]`` in, packed ``[T, H]`` out; bias fused either way.
-    ``out``/``scratch`` are forwarded to whichever path runs (the
-    zeropad fallback honours ``out`` only — its padded intermediates are
-    layout-dependent and stay allocating).
     """
     hidden = qkv_packed.shape[1] // 3
     head_size = hidden // num_heads
@@ -86,17 +80,16 @@ def byte_mha(
         # zeropad_softmax_mha — same function, no fused kernels involved.
         return zeropad_softmax_mha(
             qkv_packed, qkv_bias, packing, num_heads, ctx=context,
-            category=category, out=out,
+            category=category,
         )
     if max_len <= short_max_seq and supports(
         max_len, head_size, context.device.max_shared_mem_per_block
     ):
         return fused_short_mha(
             qkv_packed, qkv_bias, packing, num_heads, ctx=context,
-            category=category, out=out, scratch=scratch,
+            category=category,
         )
     return fused_long_mha(
         qkv_packed, qkv_bias, packing, num_heads,
         scheduler=scheduler, ctx=context, category=category,
-        out=out, scratch=scratch,
     )

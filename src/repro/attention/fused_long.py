@@ -25,13 +25,11 @@ import math
 import numpy as np
 
 from repro.attention.bucketed import (
+    LengthBucket,
     _bucket_qkv,
-    _bucket_qkv_into,
-    acquire_bucket_scratch,
+    _scatter_bucket,
     build_buckets,
-    release_bucket_scratch,
 )
-from repro.core.memory_planner import LiveArena
 from repro.core.padding import PackedSeqs
 from repro.gpusim.memory import BYTES_PER_FP32
 from repro.gpusim.stream import ExecutionContext, resolve_context
@@ -68,16 +66,12 @@ def fused_long_mha(
     scheduler: SchedulerKind = SchedulerKind.WARP_PREFETCH,
     ctx: ExecutionContext | None = None,
     category: str = "attention",
-    out: np.ndarray | None = None,
-    scratch: LiveArena | None = None,
 ) -> np.ndarray:
     """Grouped-GEMM fused MHA on a packed ``[T, 3H]`` QKV tensor.
 
     Returns the packed ``[T, H]`` attention output.  Works for any
     sequence length; it is the dispatch target for ``max_seq_len`` beyond
-    the short kernel's resource limit.  ``out``/``scratch`` route the
-    output and the per-bucket intermediates through caller storage (see
-    :func:`repro.attention.bucketed.bucketed_sdpa`).
+    the short kernel's resource limit.
     """
     tokens, three_hidden = qkv_packed.shape
     if tokens != packing.total_tokens:
@@ -120,8 +114,7 @@ def fused_long_mha(
         full_reduction_launch(unit_lens, heads=1, category=category)
     )
     out = _bucketed_fused_long(
-        qkv_packed, qkv_bias, packing, num_heads, head_size, scale,
-        out=out, scratch=scratch,
+        qkv_packed, qkv_bias, packing, num_heads, head_size, scale
     )
     # ---- launch 3: grouped GEMM P V with mainloop softmax transform ----
     # per-unit epilogue sums are integers, so these closed forms equal a
@@ -183,47 +176,24 @@ def _bucketed_fused_long(
     num_heads: int,
     head_size: int,
     scale: float,
-    *,
-    out: np.ndarray | None = None,
-    scratch: LiveArena | None = None,
 ) -> np.ndarray:
     """Batched numerics of the grouped-GEMM FMHA, one bucket at a time.
 
     :func:`fused_long_reference` runs its softmax transform and P·V
     product through the float64 partial-statistics arrays; this path
     mirrors that dtype flow (fp32 scores, fp64 transform + P·V) so the
-    two agree to fp64 rounding, not merely 1e-6.  ``scratch`` is honoured
-    only for float64 inputs: the allocating path *upcasts* fp32 scores
-    through the fp64 statistics broadcast, which an in-place transform
-    cannot reproduce.  (The partial-stats arrays stay small and
-    allocating either way.)
+    two agree to fp64 rounding, not merely 1e-6.
     """
     tokens = packing.total_tokens
     hidden = num_heads * head_size
-    if out is None:
-        out = np.empty((tokens, hidden), dtype=qkv_packed.dtype)
-    buckets = build_buckets(packing)
-    bufs = (
-        acquire_bucket_scratch(
-            scratch, buckets, num_heads, head_size, qkv_packed.dtype
-        )
-        if scratch is not None and qkv_packed.dtype == np.float64
-        else None
-    )
+    out = np.empty((tokens, hidden), dtype=qkv_packed.dtype)
 
-    def run_bucket(i: int) -> None:
-        bucket = buckets[i]
+    def run_bucket(bucket: LengthBucket) -> None:
         bsz, length = bucket.rows.shape
-        if bufs is None:
-            q, kt, v = _bucket_qkv(
-                qkv_packed, qkv_bias, bucket, num_heads, head_size
-            )
-            scores = np.matmul(q, kt)
-        else:
-            q, kt, v = _bucket_qkv_into(
-                qkv_packed, qkv_bias, bucket, num_heads, head_size, bufs[i]
-            )
-            scores = np.matmul(q, kt, out=bufs[i]["scores"])
+        q, kt, v = _bucket_qkv(
+            qkv_packed, qkv_bias, bucket, num_heads, head_size
+        )
+        scores = np.matmul(q, kt)
         scores *= scale
         if bucket.valid is not None:
             np.copyto(
@@ -249,35 +219,13 @@ def _bucketed_fused_long(
         row_max = pmax.max(axis=-1)
         rescale = np.exp(pmax - row_max[..., None])
         row_sum = (psum * rescale).sum(axis=-1)
-        if bufs is None:
-            probs = np.exp(scores - row_max[..., None]) / row_sum[..., None]
-            attn = np.matmul(probs, v.astype(np.float64))
-            merged: np.ndarray = attn.transpose(0, 2, 1, 3).reshape(
-                bsz * length, hidden
-            )
-        else:
-            # the same transform as the stepwise ufunc chain (scores are
-            # already fp64 here, so no upcast is lost) and the same BLAS
-            # product — v is fp64, so ``v.astype(np.float64)`` was a copy
-            np.subtract(scores, row_max[..., None], out=scores)
-            np.exp(scores, out=scores)
-            np.divide(scores, row_sum[..., None], out=scores)
-            attn = np.matmul(scores, v, out=bufs[i]["ctx"])
-            merged = bufs[i]["merged"]
-            np.copyto(
-                merged.reshape(bsz, length, num_heads, head_size),
-                attn.transpose(0, 2, 1, 3),
-            )
-        if bucket.valid is None:
-            out[bucket.rows.ravel()] = merged
-        else:
-            flat_valid = bucket.valid.ravel()
-            out[bucket.rows.ravel()[flat_valid]] = merged[flat_valid]
+        probs = np.exp(scores - row_max[..., None]) / row_sum[..., None]
+        attn = np.matmul(probs, v.astype(np.float64))
+        merged = attn.transpose(0, 2, 1, 3).reshape(bsz * length, hidden)
+        _scatter_bucket(out, bucket, merged)
 
     # one call per bucket: each bucket's temporaries are freed before the
     # next bucket allocates its own, which bounds the peak at one bucket
-    for i in range(len(buckets)):
-        run_bucket(i)
-    if bufs is not None:
-        release_bucket_scratch(scratch, len(buckets))
+    for bucket in build_buckets(packing):
+        run_bucket(bucket)
     return out

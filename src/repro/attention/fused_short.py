@@ -23,7 +23,6 @@ import math
 import numpy as np
 
 from repro.attention.bucketed import bucketed_sdpa
-from repro.core.memory_planner import LiveArena
 from repro.core.padding import PackedSeqs
 from repro.gpusim.kernel import ComputeUnit, KernelLaunch
 from repro.gpusim.memory import BYTES_PER_ELEMENT, BYTES_PER_FP32
@@ -156,16 +155,12 @@ def fused_short_mha(
     split_seq_len: int = DEFAULT_SPLIT_SEQ_LEN,
     ctx: ExecutionContext | None = None,
     category: str = "attention",
-    out: np.ndarray | None = None,
-    scratch: LiveArena | None = None,
 ) -> np.ndarray:
     """Single-kernel padding-free MHA for short sequences.
 
     Takes the packed ``[T, 3H]`` QKV tensor (bias *not* yet added — the
     kernel fuses the bias with its shared-memory loads), returns the
-    packed ``[T, H]`` attention output.  ``out`` receives the result when
-    given; ``scratch`` routes the per-bucket intermediates through the
-    live arena.
+    packed ``[T, H]`` attention output.
     """
     tokens, three_hidden = qkv_packed.shape
     if tokens != packing.total_tokens:
@@ -189,7 +184,7 @@ def fused_short_mha(
 
     out = bucketed_sdpa(
         qkv_packed, qkv_bias, packing, num_heads,
-        scale=1.0 / math.sqrt(head_size), out=out, scratch=scratch,
+        scale=1.0 / math.sqrt(head_size),
     )
 
     # DRAM traffic (in the descriptor): packed Q, K, V read once (K/V tile

@@ -33,15 +33,12 @@ def zeropad_softmax_mha(
     *,
     ctx: ExecutionContext | None = None,
     category: str = "attention",
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched-GEMM MHA with padding-free softmax.
 
     Takes the *packed* ``[T, 3H]`` QKV tensor, returns the *packed*
     ``[T, H]`` attention output.  Unpack→MHA→pack round trip included
-    (fused with bias/transpose as the paper does).  ``out`` receives a
-    copy of the result when given (the padded intermediates themselves
-    stay allocating — their shapes depend on the padded layout).
+    (fused with bias/transpose as the paper does).
     """
     tokens, three_hidden = qkv_packed.shape
     if tokens != packing.total_tokens:
@@ -79,10 +76,6 @@ def zeropad_softmax_mha(
     attn = batched_gemm(
         probs, v, ctx=context, name="cublas_bmm_pv", category=category
     )
-    merged = pack_merge_heads(
+    return pack_merge_heads(
         attn, packing.gather_idx, ctx=context, category=category
     )
-    if out is None:
-        return merged
-    np.copyto(out, merged)
-    return out

@@ -5,8 +5,8 @@ takes to execute a forward pass — which is entirely separate from the
 **gpusim-modelled** clock (the simulated GPU time a
 :class:`~repro.gpusim.stream.ExecutionContext` accumulates from
 :class:`~repro.gpusim.kernel.KernelLaunch` descriptors).  A host-only
-change moves only the first clock; the ``graph_replay`` and
-``steady_state_alloc`` gates assert the second stays bit-identical.
+change moves only the first clock; the ``graph_replay`` gates assert
+the second stays bit-identical.
 
 The sections reported:
 
@@ -23,14 +23,7 @@ The sections reported:
   forward (the estimator chain serving admission prices with) is timed
   eager vs replayed from a :class:`~repro.gpusim.graph.GraphCache`; the
   replayed stream must be bit-identical (records *and* ``start_us``)
-  with identical ``modelled_us``.  The numeric steady state (arena +
-  graph model vs the plain model) rides along with a bitwise output
-  check.
-* ``steady_state_alloc`` — tracemalloc proof that a warm arena-backed
-  forward performs **zero** new large (>= 1 MiB) ndarray allocations
-  and keeps the traced-peak delta within a budget proportional to the
-  arena footprint (transient sub-threshold temporaries scale with the
-  token count; floor 1 MiB).
+  with identical ``modelled_us``.
 * ``continuous_serving`` — the continuous token-budget batcher vs the
   BucketBatcher baseline on the α-distributed trace: modelled µs per
   served token (cost plane) and the steady-state graph-cache hit rate
@@ -40,8 +33,8 @@ The sections reported:
   (paged KV arena + batched varlen decode attention) vs a naive serial
   prefill-then-decode baseline on the same generation trace: modelled
   µs per generated token, steady-state ``decode``-kind graph hit rate,
-  zero KV overflow allocations, and bitwise oracle legs (clean and
-  chaos with forced eviction/resume) — all hard ``--check`` gates,
+  and bitwise oracle legs (clean and chaos with forced eviction/resume)
+  — all hard ``--check`` gates,
   because every number is modelled-clock deterministic.
 * ``fast_gelu`` — the opt-in tanh GELU vs the exact erf GELU on one
   tile-quantized megabatch: host wall time of each, and a hard gate
@@ -69,7 +62,6 @@ import dataclasses
 import json
 import platform
 import time
-import tracemalloc
 from pathlib import Path
 from typing import Any, Callable
 
@@ -80,10 +72,8 @@ from repro.attention.fused_long import fused_long_reference
 from repro.attention.fused_short import fused_short_reference, supports
 from repro.core.config import FAST_GELU, BertConfig, STEPWISE_PRESETS
 from repro.core.estimator import estimate_model, estimate_model_graphed
-from repro.core.memory_planner import LiveArena
 from repro.core.model import BertEncoderModel
 from repro.core.padding import (
-    PackedSeqs,
     PackingCache,
     default_packing_cache,
     merge_request_lengths,
@@ -96,10 +86,6 @@ from repro.gpusim.stream import ExecutionContext, NullContext
 from repro.kernels.activation import FAST_GELU_ATOL
 from repro.kernels.gemm import gemm
 from repro.workloads.generator import make_batch
-
-#: an ndarray allocation at least this big counts as "large" for the
-#: steady-state zero-allocation gate
-LARGE_ALLOC_BYTES = 1 << 20
 
 #: shape overrides applied by ``--quick`` (CI smoke: < 1 s end to end)
 QUICK_OVERRIDES: dict[str, Any] = {
@@ -265,11 +251,11 @@ def _decode_serving_section(
     round replayed from the ``decode``-kind graph keys.
 
     Both clocks are modelled (deterministic), so the speedup floor and
-    the steady-state hit-rate floor are hard ``--check`` gates, as is
-    zero KV-arena overflow allocations.  Two small bitwise legs ride
-    along on the numeric plane: every *served* output must be
-    byte-identical to the per-request oracle, clean and under seeded
-    chaos with a KV arena tight enough to force eviction/resume.
+    the steady-state hit-rate floor are hard ``--check`` gates.  Two
+    small bitwise legs ride along on the numeric plane: every *served*
+    output must be byte-identical to the per-request oracle, clean and
+    under seeded chaos with a KV arena tight enough to force
+    eviction/resume.
     """
     from repro.decoder import estimate_decode_round_looped, max_decode_steps
     from repro.gpusim.device import A100_SPEC
@@ -653,10 +639,8 @@ def _fast_gelu_section(
     x_tile[:total] = flat[packing.gather_idx]
 
     def tile_model(run_opt: Any) -> BertEncoderModel:
-        model = BertEncoderModel(
-            config, opt=run_opt, seed=seed, arena=LiveArena()
-        )
-        # warm up: arena reserve + first forward
+        model = BertEncoderModel(config, opt=run_opt, seed=seed)
+        # warm up: the first forward grows the kernels' scratch pool
         model.forward_packed(x_tile, mega, ctx=NullContext())
         return model
 
@@ -672,7 +656,6 @@ def _fast_gelu_section(
 
     exact_model = tile_model(opt)
     exact_out, exact_ctx = stream_of(exact_model)
-    exact_out = exact_out.copy()
     exact_wall = wall_of(exact_model)
 
     fast_model = tile_model(dataclasses.replace(opt, gelu_variant="tanh"))
@@ -731,7 +714,7 @@ def run_wallclock_bench(
 
     # ---- full forward: host wall time and the modelled stream ---------
     ctx = ExecutionContext()
-    output = model.forward(data.x, data.mask, ctx=ctx)
+    model.forward(data.x, data.mask, ctx=ctx)
     kernel_count = len(ctx.records)
     modelled_us = ctx.elapsed_us()
     wall_us = _time_best_of(
@@ -788,74 +771,12 @@ def run_wallclock_bench(
         for a, b in zip(check_eager.records, check_replay.records)
     )
 
-    # Numeric steady state: arena + graph model vs the plain model, bit
-    # for bit.
-    fast_model = BertEncoderModel(
-        config, opt=opt, seed=seed, arena=LiveArena(),
-        graph_cache=GraphCache(),
-    )
-    for _ in range(2):  # warm up: arena growth + graph capture
-        fast_model.forward(data.x, data.mask, ctx=ExecutionContext())
-    steady_wall_us = _time_best_of(
-        lambda: fast_model.forward(data.x, data.mask, ctx=ExecutionContext()),
-        repeats,
-    )
-    steady_ctx = ExecutionContext()
-    steady_out = fast_model.forward(data.x, data.mask, ctx=steady_ctx)
-    steady_outputs_bitwise = bool(np.array_equal(steady_out, output))
-    steady_modelled_equal = steady_ctx.elapsed_us() == modelled_us
-
-    # ---- steady-state allocation audit (tracemalloc) -----------------
-    arena_engaged = (
-        fast_model.arena is not None
-        and opt.remove_padding
-        and fast_model.arena.forwards > 0
-    )
-    tracemalloc.start()
-    snap_before = tracemalloc.take_snapshot()
-    tracemalloc.reset_peak()
-    traced_base, _ = tracemalloc.get_traced_memory()
-    fast_model.forward(data.x, data.mask, ctx=ExecutionContext())
-    _, traced_peak = tracemalloc.get_traced_memory()
-    snap_after = tracemalloc.take_snapshot()
-    tracemalloc.stop()
-    large_allocation_count = sum(
-        1
-        for stat in snap_after.compare_to(snap_before, "lineno")
-        if stat.size_diff >= LARGE_ALLOC_BYTES
-    )
-    peak_delta_bytes = traced_peak - traced_base
-
     graph_replay_section = {
         "eager_us": eager_us,
         "capture_us": capture_us,
         "replay_us": replay_us,
         "speedup_vs_eager": eager_us / replay_us,
         "modelled_us": modelled_replay,
-        "steady_state_forward": {
-            "wall_us": steady_wall_us,
-            "reference_wall_us": wall_us,
-            "speedup_vs_plain": wall_us / steady_wall_us,
-            "outputs_bitwise_equal": steady_outputs_bitwise,
-        },
-    }
-    arena_footprint = (
-        fast_model.arena.footprint_bytes if fast_model.arena else 0
-    )
-    # transient sub-threshold temporaries (the exempt two-phase softmax
-    # reduction, per-bucket row stats) scale with the token count, so the
-    # traced-peak budget is proportional to the arena, floored at 1 MiB
-    peak_budget_bytes = max(LARGE_ALLOC_BYTES, arena_footprint // 8)
-    steady_state_alloc_section = {
-        "arena_engaged": arena_engaged,
-        "large_allocation_count": large_allocation_count,
-        "large_alloc_threshold_bytes": LARGE_ALLOC_BYTES,
-        "peak_delta_bytes": peak_delta_bytes,
-        "peak_budget_bytes": peak_budget_bytes,
-        "arena_footprint_bytes": arena_footprint,
-        "arena_overflow_allocs": (
-            fast_model.arena.overflow_allocs if fast_model.arena else 0
-        ),
     }
 
     # ---- packing metadata: seed loop vs loop-free build vs cache hit ----
@@ -922,7 +843,6 @@ def run_wallclock_bench(
                 "speedup_cache_hit": packing_loop_us / packing_warm_us,
             },
             "graph_replay": graph_replay_section,
-            "steady_state_alloc": steady_state_alloc_section,
             **(
                 {"fast_gelu": fast_gelu_section}
                 if fast_gelu_section is not None
@@ -954,19 +874,12 @@ def run_wallclock_bench(
             "kernel_count": kernel_count,
             "graph_modelled_us_equal": graph_modelled_equal,
             "graph_streams_identical": graph_streams_identical,
-            "steady_outputs_bitwise_equal": steady_outputs_bitwise,
-            "steady_modelled_us_equal": steady_modelled_equal,
-            "steady_large_allocation_count": large_allocation_count,
-            "steady_arena_engaged": arena_engaged,
         },
         "cache_stats": [
             dataclasses.asdict(stats)
             for stats in (
                 CacheStats.from_cache("packing", default_packing_cache()),
                 CacheStats.from_cache("estimator_graphs", graph_cache),
-                CacheStats.from_cache(
-                    "model_graphs", fast_model.graph_cache
-                ),
             )
         ],
         "notes": (
@@ -1015,22 +928,11 @@ def format_summary(result: dict[str, Any]) -> str:
     )
     graph = result["sections"].get("graph_replay")
     if graph is not None:
-        steady = graph["steady_state_forward"]
         lines.append(
             f"  graph     : {graph['replay_us']:9.1f} us replay vs "
             f"{graph['eager_us']:9.1f} us eager pricing "
             f"({graph['speedup_vs_eager']:.2f}x); capture "
-            f"{graph['capture_us']:.0f} us; numeric steady state "
-            f"{steady['speedup_vs_plain']:.2f}x"
-        )
-    alloc = result["sections"].get("steady_state_alloc")
-    if alloc is not None:
-        lines.append(
-            f"  steady mem: {alloc['large_allocation_count']} large allocs "
-            f"(>= {alloc['large_alloc_threshold_bytes'] >> 20} MiB), peak "
-            f"delta {alloc['peak_delta_bytes'] / 1024:.0f} KiB, arena "
-            f"{alloc['arena_footprint_bytes'] / (1 << 20):.1f} MiB "
-            f"({alloc['arena_overflow_allocs']} overflow allocs)"
+            f"{graph['capture_us']:.0f} us"
         )
     fg = result["sections"].get("fast_gelu")
     if fg is not None:
@@ -1091,7 +993,6 @@ def format_summary(result: dict[str, Any]) -> str:
     lines.append(
         "  invariants: graph_streams_identical="
         f"{inv.get('graph_streams_identical')}, "
-        f"steady_outputs_bitwise={inv.get('steady_outputs_bitwise_equal')}, "
         f"modelled {result['modelled_us'] / 1e3:.1f} ms"
     )
     return "\n".join(lines)
@@ -1102,8 +1003,8 @@ def check_invariants(result: dict[str, Any]) -> list[str]:
 
     An empty list means the run is clean: attention outputs within 1e-6
     of their reference, launch streams identical eager vs
-    graph-replayed, and (when the arena engaged) a zero large-allocation
-    steady state within the traced-peak budget.
+    graph-replayed, every floor and serving gate met, and fast-GELU
+    within its tolerance on an unchanged launch stream.
     """
     inv = result["invariants"]
     failures = []
@@ -1164,12 +1065,6 @@ def check_invariants(result: dict[str, Any]) -> list[str]:
                 f"decode serving steady-state graph hit rate "
                 f"{hit_rate:.3f} below floor {decode['hit_rate_floor']}"
             )
-        overflow = decode["mixed"]["kv"]["overflow_allocs"]
-        if overflow != 0:
-            failures.append(
-                f"paged KV arena performed {overflow:.0f} overflow "
-                "allocations (plan-driven pre-sizing should leave zero)"
-            )
         for name, leg in decode["bitwise"].items():
             if leg["served"] == 0:
                 failures.append(f"decode bitwise leg {name}: nothing served")
@@ -1193,31 +1088,6 @@ def check_invariants(result: dict[str, Any]) -> list[str]:
         failures.append("graph replay changed modelled_us")
     if not inv.get("graph_streams_identical", True):
         failures.append("graph replay stream != eager stream")
-    if not inv.get("steady_outputs_bitwise_equal", True):
-        failures.append("arena+graph forward output != vectorized output")
-    if not inv.get("steady_modelled_us_equal", True):
-        failures.append("arena+graph forward changed modelled_us")
-    if inv.get("steady_arena_engaged"):
-        alloc = result["sections"]["steady_state_alloc"]
-        if alloc["large_allocation_count"] != 0:
-            failures.append(
-                f"steady state performed "
-                f"{alloc['large_allocation_count']} large allocations"
-            )
-        budget = alloc.get("peak_budget_bytes", LARGE_ALLOC_BYTES)
-        if alloc["peak_delta_bytes"] >= budget:
-            failures.append(
-                f"steady-state traced peak grew by "
-                f"{alloc['peak_delta_bytes']} bytes "
-                f"(budget {budget})"
-            )
-        # satellite gate: plan-driven pre-sizing means the arena never
-        # falls back to np.empty, warm-up included
-        if alloc.get("arena_overflow_allocs", 0) != 0:
-            failures.append(
-                f"arena performed {alloc['arena_overflow_allocs']} "
-                "overflow allocations (pre-sizing should leave zero)"
-            )
     fg = result["sections"].get("fast_gelu")
     if fg is not None:
         if not fg["within_atol"]:

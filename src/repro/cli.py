@@ -9,8 +9,8 @@ Commands:
 * ``bench`` — wall-clock benchmark of the host forward and its hot
   paths against their per-unit references (``--quick`` for a CI smoke
   run, ``--out`` to write the JSON, ``--check`` to gate on the
-  attention-output, graph-stream and steady-state invariants and the
-  fast-GELU accuracy gate, ``--baseline`` to gate against the history
+  attention-output and graph-stream invariants and the fast-GELU
+  accuracy gate, ``--baseline`` to gate against the history
   records); prints the cache hit/miss/eviction table;
 * ``serve-chaos`` — chaos-replay a serving trace with injected kernel
   faults, deadlines, retry/backoff and graceful degradation; prints the
@@ -22,9 +22,9 @@ Commands:
   line) through the mixed prefill/decode runtime: paged KV arena,
   continuous batching with a decode-priority knob, optional kernel
   chaos.  Prints the per-token latency table (TTFT + inter-token gaps);
-  ``--check`` gates conservation, zero KV overflow allocations and
-  bitwise equality of every served stream against the per-request
-  decode loop; ``--out`` writes the report JSON for CI artifacts;
+  ``--check`` gates conservation and bitwise equality of every served
+  stream against the per-request decode loop; ``--out`` writes the
+  report JSON for CI artifacts;
 * ``metrics`` — replay a small serving trace with telemetry on and emit
   the metrics registry (``--format prom|json|text``, ``--check`` parses
   the Prometheus exposition back);
@@ -1079,9 +1079,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         failures.append(
             f"conservation: {settled} settled of {trace.num_requests}"
         )
-    overflow = int(report.kv_stats.get("overflow_allocs", 0))
-    if overflow:
-        failures.append(f"paged KV arena made {overflow} overflow allocs")
     oracle_checked = 0
     if args.check:
         oracle = generate_reference_outputs(runtime, trace)
@@ -1703,9 +1700,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="exit 1 if any gate fails: conservation, zero KV overflow "
-        "allocs, bitwise equality of every served stream vs the "
-        "per-request decode loop",
+        help="exit 1 if any gate fails: conservation, bitwise equality "
+        "of every served stream vs the per-request decode loop",
     )
     p.add_argument(
         "--out",

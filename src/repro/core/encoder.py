@@ -24,7 +24,6 @@ from repro.attention.dispatch import byte_mha
 from repro.attention.unfused_cublas import unfused_cublas_mha
 from repro.attention.zeropad_softmax_mha import zeropad_softmax_mha
 from repro.core.config import BertConfig, OptimizationConfig
-from repro.core.memory_planner import LiveArena
 from repro.core.padding import PackedSeqs
 from repro.core.weights import LayerWeights
 from repro.gpusim.stream import ExecutionContext, resolve_context
@@ -48,17 +47,14 @@ def _layernorm_block(
     fused: bool,
     category: str,
     ctx: ExecutionContext,
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
 ) -> np.ndarray:
-    if fused:
-        return add_bias_residual_layernorm(
-            x, bias, residual, gamma, beta, eps=eps, ctx=ctx,
-            category=category, out=out, tmp=tmp,
-        )
-    return add_bias_residual_layernorm_unfused(
-        x, bias, residual, gamma, beta, eps=eps, ctx=ctx,
-        category=category, out=out, tmp=tmp,
+    kernel = (
+        add_bias_residual_layernorm
+        if fused
+        else add_bias_residual_layernorm_unfused
+    )
+    return kernel(
+        x, bias, residual, gamma, beta, eps=eps, ctx=ctx, category=category
     )
 
 
@@ -67,8 +63,6 @@ def _ffn_block(
     weights: LayerWeights,
     fuse_gelu: bool,
     ctx: ExecutionContext,
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
     gelu_variant: str = "exact",
     segment_offsets: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -93,13 +87,11 @@ def _ffn_block(
             ctx=ctx,
             name="gemm2_fused_bias_gelu",
             category="gemm2",
-            out=out,
-            tmp=tmp,
         )
-    up = up_gemm(ctx=ctx, name="gemm2", category="gemm2", out=out)
+    up = up_gemm(ctx=ctx, name="gemm2", category="gemm2")
     return add_bias_gelu(
         up, weights.ffn_in_bias, ctx=ctx, category="activation",
-        out=out, tmp=tmp, variant=gelu_variant,
+        variant=gelu_variant,
     )
 
 
@@ -186,18 +178,8 @@ def encoder_layer_packed(
     packing: PackedSeqs,
     *,
     ctx: ExecutionContext | None = None,
-    scratch: LiveArena | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One encoder layer on a packed ``[T, H]`` activation tensor.
-
-    With ``scratch`` (and ``out``, the caller's ping-pong buffer for the
-    layer result), every large intermediate is taken from / released to
-    the live arena in the exact order
-    :func:`repro.core.memory_planner.plan_live_forward` plans, and the
-    layer performs zero large ndarray allocations in steady state.  The
-    two forms are bit-identical: each ``out=`` kernel variant replays the
-    allocating variant's op sequence into preplaced storage.
 
     Every projection (QKV, attention output, both FFN GEMMs) goes
     through :func:`repro.kernels.batched_gemm.tile_gemm`: one BLAS call
@@ -215,29 +197,17 @@ def encoder_layer_packed(
             f"{x_packed.shape[0]} rows != packed total "
             f"{packing.total_tokens}"
         )
-    if (scratch is None) != (out is None):
-        raise ValueError("scratch and out must be passed together")
     context = resolve_context(ctx)
-    tokens = packing.total_tokens
-    hidden = config.hidden_size
+    offsets = packing.seq_offsets
 
-    dt = x_packed.dtype
-    take = (
-        (lambda name, shape: scratch.take(name, shape, dt))
-        if scratch is not None
-        else None
-    )
-    qkv = take("qkv", (tokens, 3 * hidden)) if take else None
     qkv = tile_gemm(
         x_packed,
         weights.qkv_weight,
-        segment_offsets=packing.seq_offsets,
+        segment_offsets=offsets,
         ctx=context,
         name="gemm0_qkv",
         category="gemm0",
-        out=qkv,
     )
-    attn = take("attn", (tokens, hidden)) if take else None
     if opt.fused_mha:
         scheduler = (
             SchedulerKind.WARP_PREFETCH
@@ -252,32 +222,19 @@ def encoder_layer_packed(
             short_max_seq=opt.fused_mha_short_max_seq,
             scheduler=scheduler,
             ctx=context,
-            out=attn,
-            scratch=scratch,
         )
     else:
         attn = zeropad_softmax_mha(
-            qkv, weights.qkv_bias, packing, config.num_heads, ctx=context,
-            out=attn,
+            qkv, weights.qkv_bias, packing, config.num_heads, ctx=context
         )
-    if scratch is not None:
-        scratch.release("qkv")
-    proj = take("proj", (tokens, hidden)) if take else None
     proj = tile_gemm(
         attn,
         weights.attn_out_weight,
-        segment_offsets=packing.seq_offsets,
+        segment_offsets=offsets,
         ctx=context,
         name="gemm1_attn_out",
         category="gemm1",
-        out=proj,
     )
-    if scratch is not None:
-        scratch.release("attn")
-        ln0_buf = take("ln0", (tokens, hidden))
-        ln_tmp = take("ln_tmp", (tokens, hidden))
-    else:
-        ln0_buf = ln_tmp = None
     ln0 = _layernorm_block(
         proj,
         weights.attn_out_bias,
@@ -288,37 +245,21 @@ def encoder_layer_packed(
         opt.fuse_layernorm,
         "layernorm0",
         context,
-        out=ln0_buf,
-        tmp=ln_tmp,
     )
-    if scratch is not None:
-        scratch.release("ln_tmp")
-        scratch.release("proj")
-        ffn_up = take("ffn_up", (tokens, config.ffn_size))
-        gelu_tmp = take("gelu_tmp", (tokens, config.ffn_size))
-    else:
-        ffn_up = gelu_tmp = None
     ffn = _ffn_block(
-        ln0, weights, opt.fuse_gelu, context, ffn_up, gelu_tmp,
+        ln0, weights, opt.fuse_gelu, context,
         gelu_variant=resolve_gelu_variant(opt.gelu_variant),
-        segment_offsets=packing.seq_offsets,
+        segment_offsets=offsets,
     )
-    if scratch is not None:
-        scratch.release("gelu_tmp")
-    down = take("ffn_down", (tokens, hidden)) if take else None
     down = tile_gemm(
         ffn,
         weights.ffn_out_weight,
-        segment_offsets=packing.seq_offsets,
+        segment_offsets=offsets,
         ctx=context,
         name="gemm3_ffn_out",
         category="gemm3",
-        out=down,
     )
-    if scratch is not None:
-        scratch.release("ffn_up")
-        ln_tmp = take("ln_tmp", (tokens, hidden))
-    result = _layernorm_block(
+    return _layernorm_block(
         down,
         weights.ffn_out_bias,
         ln0,
@@ -328,11 +269,4 @@ def encoder_layer_packed(
         opt.fuse_layernorm,
         "layernorm1",
         context,
-        out=out,
-        tmp=ln_tmp if scratch is not None else None,
     )
-    if scratch is not None:
-        scratch.release("ln_tmp")
-        scratch.release("ffn_down")
-        scratch.release("ln0")
-    return result

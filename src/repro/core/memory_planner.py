@@ -18,19 +18,9 @@ padded pipelines must hold the quadratic ``B x H x S x S`` score tensor,
 the packed fused pipelines either never materialise it (short kernel) or
 hold only the ``sum(len_i^2)`` valid region (grouped kernel).
 
-Live execution
---------------
-:class:`LiveArena` promotes the offline accounting into an actual
-allocator: one backing byte buffer, best-fit offsets from
-:class:`ArenaAllocator`, and :meth:`LiveArena.take` handing out ndarray
-*views* into it.  The vectorized engine requests every large
-intermediate (packed QKV, attention scores, GELU/LN temporaries) from
-the arena, so a steady-state forward — once the backing buffer has
-converged for the shape — performs **zero** large ndarray allocations.
-:func:`plan_live_forward` is the matching offline prediction: it mirrors
-the engine's take/release sequence symbolically (in the engine's own
-float64 bytes — unlike :func:`trace_encoder_layer`, which models an fp16
-deployment), so tests can assert the live peak never exceeds the plan.
+:data:`KERNEL_SCRATCH` is the one piece of live memory management: a
+per-thread pool the kernel epilogues borrow their element-wise
+temporaries from.
 """
 
 from __future__ import annotations
@@ -193,103 +183,6 @@ class ArenaAllocator:
         return sorted(self._placements.values(), key=lambda p: p.offset)
 
 
-class LiveArena:
-    """A live best-fit arena handing out ndarray views of one byte buffer.
-
-    Usage contract (enforced by the engine, asserted by tests):
-
-    * :meth:`begin` starts a forward pass.  All views from the previous
-      forward become invalid — including a model's returned output view,
-      which is documented as valid only until the owning model's next
-      arena forward.  Because nothing is live at that point, ``begin`` is
-      the only place the backing buffer may grow.
-    * :meth:`take` returns a view at a best-fit offset.  During warm-up a
-      request may land beyond the current backing buffer; the arena then
-      falls back to a plain ``np.empty`` (counted in
-      :attr:`overflow_allocs`) and grows the backing at the next
-      ``begin``.  For a fixed shape signature the placement sequence is
-      deterministic, so by the first post-growth forward every request is
-      served from the backing buffer — the steady state.
-    * ``take``/``release`` are **not** thread-safe: one arena serves
-      one model on one thread.
-    """
-
-    def __init__(self, alignment: int = 256) -> None:
-        self.alignment = alignment
-        self._buf = np.empty(0, dtype=np.uint8)
-        self._alloc = ArenaAllocator(alignment)
-        #: high-water mark of aligned arena bytes any forward has needed
-        self._wanted_bytes = 0
-        #: requests served by ``np.empty`` because the backing was too small
-        self.overflow_allocs = 0
-        self.forwards = 0
-        #: raw (unaligned) live bytes right now / peak within this forward
-        self._live_raw = 0
-        self.peak_live_bytes = 0
-        self._raw_sizes: dict[str, int] = {}
-
-    @property
-    def footprint_bytes(self) -> int:
-        """Current backing-buffer size."""
-        return self._buf.nbytes
-
-    @property
-    def in_steady_state(self) -> bool:
-        """Whether the last forward was served entirely from the backing."""
-        return self.forwards > 0 and self._wanted_bytes <= self._buf.nbytes
-
-    def begin(self) -> None:
-        """Start a forward pass; previous views are dead, backing may grow."""
-        if self._wanted_bytes > self._buf.nbytes:
-            self._buf = np.empty(self._wanted_bytes, dtype=np.uint8)
-        self._alloc = ArenaAllocator(self.alignment)
-        self._live_raw = 0
-        self.peak_live_bytes = 0
-        self._raw_sizes = {}
-        self.forwards += 1
-
-    def take(
-        self,
-        name: str,
-        shape: tuple[int, ...],
-        dtype: np.dtype | type = np.float64,
-    ) -> np.ndarray:
-        """A ``shape``/``dtype`` view into the arena, registered as ``name``."""
-        dt = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        placement = self._alloc.allocate(name, max(1, nbytes))
-        self._wanted_bytes = max(self._wanted_bytes, self._alloc.arena_bytes)
-        self._raw_sizes[name] = nbytes
-        self._live_raw += nbytes
-        self.peak_live_bytes = max(self.peak_live_bytes, self._live_raw)
-        end = placement.offset + placement.bytes
-        if end <= self._buf.nbytes:
-            view = self._buf[placement.offset : placement.offset + nbytes]
-            return view.view(dt).reshape(shape)
-        self.overflow_allocs += 1
-        return np.empty(shape, dtype=dt)
-
-    def release(self, name: str) -> None:
-        """Return ``name``'s chunk to the free list (its view is dead)."""
-        self._alloc.release(name)
-        self._live_raw -= self._raw_sizes.pop(name)
-
-    def reserve(self, nbytes: int) -> None:
-        """Pre-commit backing capacity: the next :meth:`begin` grows the
-        buffer to at least ``nbytes``.
-
-        Continuous serving sizes the arena from the *token-budget tile*
-        (see :func:`plan_live_megabatch`) rather than from the first
-        megabatch that happens to arrive, so differently-composed
-        megabatches of the same tile never regrow the backing — the
-        warm-up ``np.empty`` overflows are paid at most once per tile
-        instead of once per composition.
-        """
-        if nbytes < 0:
-            raise ValueError(f"cannot reserve {nbytes} bytes")
-        self._wanted_bytes = max(self._wanted_bytes, int(nbytes))
-
-
 def trace_encoder_layer(
     config: BertConfig,
     opt: OptimizationConfig,
@@ -422,177 +315,11 @@ def memory_report(
     return MemoryReport(label=opt.label, peak_bytes=peak, arena_bytes=arena)
 
 
-#: scratch-buffer suffixes one attention bucket acquires, in take order —
-#: shared with :mod:`repro.attention.bucketed` so the symbolic plan and
-#: the live engine can never drift apart on names
-BUCKET_SCRATCH_SUFFIXES = ("blk", "q", "k", "v", "scores", "ctx", "merged")
-
-
-def plan_live_forward(
-    config: BertConfig,
-    opt: OptimizationConfig,
-    seq_lens: np.ndarray,
-    max_seq_len: int,
-    *,
-    mha: str | None = None,
-    dtype: np.dtype | type = np.float64,
-) -> ActivationTrace:
-    """Symbolic alloc/free trace of one *live* arena-backed forward.
-
-    Mirrors, name for name and in the same order, the
-    :class:`LiveArena` take/release sequence the vectorized packed
-    engine performs (see :func:`repro.core.encoder.encoder_layer_packed`
-    and :func:`repro.attention.bucketed.bucketed_sdpa`), in the engine's
-    actual element width (float64 by default) — **not** the fp16
-    deployment bytes of :func:`trace_encoder_layer`.  Its
-    :func:`peak_live_bytes` is the planner's offline prediction the live
-    arena's observed peak is tested against, and replaying it through an
-    :class:`ArenaAllocator` predicts the converged backing-buffer size.
-
-    ``mha`` mirrors the dispatch override: ``"fused"`` plans the
-    bucketed scratch buffers (both the short and the grouped long kernel
-    use the same bucket buffers), ``"zeropad"``/``"cublas"`` plan none
-    (those paths allocate internally and are not arena-backed).
-    """
-    from repro.attention.bucketed import build_buckets
-    from repro.core.padding import packing_from_lengths
-
-    if not opt.remove_padding:
-        raise ValueError(
-            "the live arena only backs the packed pipeline; "
-            "plan_live_forward needs remove_padding"
-        )
-    lens = np.asarray(seq_lens, dtype=np.int64)
-    batch = lens.shape[0]
-    hidden = config.hidden_size
-    ffn = config.ffn_size
-    heads = config.num_heads
-    head = config.head_size
-    tokens = int(lens.sum())
-    elem = np.dtype(dtype).itemsize
-    if mha is None:
-        mha = "fused" if opt.fused_mha else "zeropad"
-    bucketed = mha == "fused"
-    packing = packing_from_lengths(lens, max_seq_len, cache=None)
-    buckets = build_buckets(packing) if bucketed else []
-
-    t = ActivationTrace()
-    t.alloc("h0", tokens * hidden * elem)
-    t.alloc("h1", tokens * hidden * elem)
-    for _ in range(config.num_layers):
-        t.alloc("qkv", tokens * 3 * hidden * elem)
-        t.alloc("attn", tokens * hidden * elem)
-        if bucketed:
-            for i, bucket in enumerate(buckets):
-                bsz, length = bucket.rows.shape
-                unit = bsz * heads * length * head * elem
-                p = f"mha.{i}."
-                t.alloc(p + "blk", bsz * length * 3 * hidden * elem)
-                t.alloc(p + "q", unit)
-                t.alloc(p + "k", unit)
-                t.alloc(p + "v", unit)
-                t.alloc(p + "scores", bsz * heads * length * length * elem)
-                t.alloc(p + "ctx", unit)
-                t.alloc(p + "merged", bsz * length * hidden * elem)
-            for i in range(len(buckets)):
-                for suffix in BUCKET_SCRATCH_SUFFIXES:
-                    t.free(f"mha.{i}.{suffix}")
-        t.free("qkv")
-        t.alloc("proj", tokens * hidden * elem)
-        t.free("attn")
-        t.alloc("ln0", tokens * hidden * elem)
-        t.alloc("ln_tmp", tokens * hidden * elem)
-        t.free("ln_tmp")
-        t.free("proj")
-        t.alloc("ffn_up", tokens * ffn * elem)
-        t.alloc("gelu_tmp", tokens * ffn * elem)
-        t.free("gelu_tmp")
-        t.alloc("ffn_down", tokens * hidden * elem)
-        t.free("ffn_up")
-        t.alloc("ln_tmp", tokens * hidden * elem)
-        t.free("ln_tmp")
-        t.free("ffn_down")
-        t.free("ln0")
-    t.alloc("output", batch * max_seq_len * hidden * elem)
-    t.free_all()
-    return t
-
-
-def plan_live_megabatch(
-    config: BertConfig,
-    opt: OptimizationConfig,
-    tile: int,
-    max_seq_len: int,
-    *,
-    mha: str | None = None,
-    dtype: np.dtype | type = np.float64,
-) -> ActivationTrace:
-    """Symbolic arena plan for a token-budget megabatch tile.
-
-    Plans the tile's *canonical* segment layout (full ``max_seq_len``
-    segments plus a ragged remainder — see
-    :func:`repro.core.estimator.canonical_tile_lengths`), which maximises
-    every buffer class over all megabatch compositions admissible into
-    the tile: the row-proportional buffers (QKV, FFN, layernorm
-    temporaries) scale with total tokens, bounded by the tile, and the
-    attention score bytes ``sum(len_i^2)`` are maximised — with total
-    tokens fixed and each segment capped at ``max_seq_len`` — by the
-    extreme point the canonical layout is.  Replaying this plan through
-    an :class:`ArenaAllocator` therefore sizes a backing buffer that any
-    real megabatch of the tile fits into (up to per-bucket alignment
-    slack, which :meth:`LiveArena.begin` absorbs by growing once).
-    """
-    from repro.core.estimator import canonical_tile_lengths
-
-    return plan_live_forward(
-        config,
-        opt,
-        canonical_tile_lengths(tile, max_seq_len),
-        max_seq_len,
-        mha=mha,
-        dtype=dtype,
-    )
-
-
-def plan_paged_kv_arena(
-    hidden: int,
-    capacity_tokens: int,
-    block_tokens: int,
-    *,
-    dtype: np.dtype | type = np.float64,
-) -> ActivationTrace:
-    """Symbolic arena plan for a paged KV-cache block pool.
-
-    The decode-serving KV arena (:class:`repro.decoder.paged_kv.PagedKVArena`)
-    holds one persistent ``[blocks, block_tokens, 2, hidden]`` tensor in a
-    :class:`LiveArena`.  This mirrors that single allocation name for name,
-    the same way :func:`plan_live_megabatch` mirrors the megabatch forward,
-    so the runtime can ``reserve()`` the exact backing bytes up front and
-    the pool is served from the backing from the first ``take`` — zero
-    overflow allocations ever, which the ``decode_serving`` bench gates.
-    """
-    if hidden <= 0:
-        raise ValueError(f"hidden must be positive, got {hidden}")
-    if block_tokens <= 0:
-        raise ValueError(f"block_tokens must be positive, got {block_tokens}")
-    if capacity_tokens < block_tokens:
-        raise ValueError(
-            f"capacity_tokens {capacity_tokens} below one block "
-            f"({block_tokens} tokens)"
-        )
-    blocks = -(-int(capacity_tokens) // int(block_tokens))
-    elem = np.dtype(dtype).itemsize
-    t = ActivationTrace()
-    t.alloc("kv_blocks", blocks * block_tokens * 2 * hidden * elem)
-    t.free_all()
-    return t
-
-
 class ScratchPool:
     """Per-thread reusable scratch for kernel temporaries.
 
-    The allocating kernel paths (no ``out=``) used to burn an
-    allocation per call on their element-wise temporaries — for
+    Without it the kernels would burn an allocation per call on their
+    element-wise temporaries — for
     erf-GELU at bench shape that is a fresh ``[T, 4H]`` buffer per FFN,
     the #2 host cost after GEMM.  The pool keeps one high-water byte
     buffer per ``(thread, dtype)`` and hands out reshaped views, so in

@@ -6,18 +6,12 @@ layers.  With ``remove_padding`` enabled, the zero-padding algorithm runs
 packed across all layers, and the output is unpacked at the very end —
 matching the pipeline of Figure 2 (c).
 
-Two steady-state accelerators bolt on per instance:
-
-* ``arena`` — a :class:`~repro.core.memory_planner.LiveArena` backing
-  every large activation (packed hidden states, attention scratch, FFN
-  temporaries).  After the first forward per shape, the model performs
-  zero large ndarray allocations; the returned tensor is a **view into
-  the arena, valid until the next forward** on the same model.
-* ``graph_cache`` — a :class:`~repro.gpusim.graph.GraphCache`.  The
-  first forward per ``(device, config, preset, forced path, mask)`` key
-  captures the full kernel-launch stream; same-key forwards replay it
-  into the caller's context (bit-identical records, hooks still fire)
-  instead of re-pricing every kernel.
+Every forward runs the kernels eagerly: each call allocates its own
+activations and prices its launches into the caller's context.  Launch
+graphs live one level up, where pricing repeats: the serving runtimes'
+:class:`~repro.gpusim.graph.GraphCache` replays the estimator chains
+(:func:`~repro.core.estimator.estimate_model_graphed`,
+:func:`~repro.core.estimator.estimate_model_tiled`).
 """
 
 from __future__ import annotations
@@ -26,16 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attention.dispatch import forced_mha_path
 from repro.core.config import BertConfig, OptimizationConfig
 from repro.core.encoder import encoder_layer_packed, encoder_layer_padded
 from repro.core.estimator import estimate_model_tiled
-from repro.core.memory_planner import (
-    ArenaAllocator,
-    LiveArena,
-    plan_live_forward,
-    plan_live_megabatch,
-)
 from repro.core.padding import (
     CrossRequestPacking,
     pack,
@@ -44,7 +31,6 @@ from repro.core.padding import (
 )
 from repro.core.sharding import ShardSpec
 from repro.core.weights import ModelWeights, init_model_weights
-from repro.gpusim.graph import GraphCache, capture
 from repro.gpusim.stream import (
     ExecutionContext,
     NullContext,
@@ -78,12 +64,6 @@ class BertEncoderModel:
         Shared :class:`ModelWeights`; initialised from ``seed`` when
         omitted.  Pass the same weights to different presets to assert
         numerical equivalence.
-    arena:
-        Optional :class:`LiveArena`; engages arena-backed execution on
-        the vectorized packed float64 pipeline (the output becomes a
-        view valid until the next forward).
-    graph_cache:
-        Optional :class:`GraphCache` for launch-stream capture/replay.
     """
 
     def __init__(
@@ -92,13 +72,9 @@ class BertEncoderModel:
         opt: OptimizationConfig | None = None,
         weights: ModelWeights | None = None,
         seed: int = 0,
-        arena: LiveArena | None = None,
-        graph_cache: GraphCache | None = None,
     ) -> None:
         self.config = config or BertConfig()
         self.opt = opt or OptimizationConfig()
-        self.arena = arena
-        self.graph_cache = graph_cache
         if weights is not None and weights.num_layers != self.config.num_layers:
             raise ValueError(
                 f"weights have {weights.num_layers} layers, config wants "
@@ -113,10 +89,6 @@ class BertEncoderModel:
         # warm the per-layer weight/bias splits and per-head views once so
         # the forward path never re-slices parameters
         self.weights.precompute(self.config.num_heads)
-        #: tiles whose canonical arena plan has already been reserved
-        self._reserved_tiles: set[int] = set()
-        #: mask-path shape signatures already pre-sized into the arena
-        self._reserved_shapes: set[tuple] = set()
 
     def forward(
         self,
@@ -128,10 +100,7 @@ class BertEncoderModel:
         """Run the stack on a padded ``[B, S, H]`` input with its mask.
 
         Always returns the padded ``[B, S, H]`` output (zeros on padding
-        when the packed pipeline ran).  With an :attr:`arena`, the
-        returned tensor is an arena view valid until the next forward;
-        with a :attr:`graph_cache`, repeat shapes replay the captured
-        launch stream instead of re-pricing every kernel.
+        when the packed pipeline ran).
         """
         if x.ndim != 3:
             raise ValueError(f"expected [B, S, H] input, got {x.shape}")
@@ -146,38 +115,7 @@ class BertEncoderModel:
             )
         context = resolve_context(ctx)
         flat = x.reshape(batch * seq_len, hidden)
-
-        if self.graph_cache is None or isinstance(context, NullContext):
-            out = self._forward_numeric(flat, mask, batch, seq_len, context)
-            return out.reshape(batch, seq_len, hidden)
-
-        # launch-graph path: the stream depends only on (device, model
-        # shape, preset, dispatch override, mask) — never on x's values —
-        # so same-key forwards replay the captured stream into the
-        # caller's context (hooks fire per replayed launch) while the
-        # numerics run launch-free under a NullContext
-        key = (
-            context.device,
-            self.config,
-            self.opt,
-            forced_mha_path(),
-            mask.shape,
-            mask.tobytes(),
-        )
-        graph = self.graph_cache.get(key)
-        if graph is None:
-            graph, out = capture(
-                context.device,
-                lambda cap_ctx: self._forward_numeric(
-                    flat, mask, batch, seq_len, cap_ctx
-                ),
-            )
-            self.graph_cache.put(key, graph)
-        else:
-            out = self._forward_numeric(
-                flat, mask, batch, seq_len, NullContext()
-            )
-        graph.replay(context)
+        out = self._forward_numeric(flat, mask, batch, seq_len, context)
         return out.reshape(batch, seq_len, hidden)
 
     def forward_packed(
@@ -204,17 +142,8 @@ class BertEncoderModel:
           attention sees per-request boundaries and results are bitwise
           what each request would get alone);
         * **cost** is the tile's canonical launch chain
-          (:func:`~repro.core.estimator.estimate_model_tiled`), keyed by
-          ``(device, config, preset, path, tile)`` in the
-          :attr:`graph_cache` — identical megabatch tiles replay one
-          captured graph regardless of their exact composition, which is
-          what makes the hot serving path graph-replayable.
-
-        With an :attr:`arena`, the backing is pre-reserved from the
-        tile's canonical plan (:func:`plan_live_megabatch`) so
-        differently-composed megabatches of one tile never regrow it;
-        the returned tensor is an arena view valid until the next
-        forward on this model.
+          (:func:`~repro.core.estimator.estimate_model_tiled`), so every
+          composition of one tile prices the same stream.
 
         ``shard`` prices one tensor-parallel rank's slice of the chain
         (sharded GEMMs + the two all-reduces per layer; the context must
@@ -235,7 +164,7 @@ class BertEncoderModel:
                 f"{x_tile.shape}"
             )
         context = resolve_context(ctx)
-        # cost plane: price (or replay) the canonical tile launch chain.
+        # cost plane: price the canonical tile launch chain.
         # A NullContext caller owns pricing elsewhere (the serving
         # runtime prices the tile on its fault-hooked context), so the
         # chain is skipped entirely rather than estimated into the void.
@@ -247,41 +176,9 @@ class BertEncoderModel:
                 mega.tile,
                 mega.packing.max_seq_len,
                 shard=shard,
-                cache=self.graph_cache,
             )
         # numeric plane: real segments only, launch-free
         return self._forward_numeric_packed(x_tile, mega)
-
-    def prereserve_tiles(
-        self,
-        tiles: tuple[int, ...] | list[int],
-        max_seq_len: int,
-        dtype: np.dtype | type = np.float64,
-    ) -> None:
-        """Pre-size the arena for every tile's canonical megabatch plan.
-
-        Continuous serving calls this once up front with the batcher's
-        tile set, so even the *first* megabatch of each tile runs from
-        converged backing — no warm-up ``np.empty`` overflow allocs.
-        A no-op without an arena or for already-reserved tiles.
-        """
-        if self.arena is None or not self.opt.remove_padding:
-            return
-        for tile in tiles:
-            if tile in self._reserved_tiles:
-                continue
-            plan = plan_live_megabatch(
-                self.config,
-                self.opt,
-                tile,
-                max_seq_len,
-                mha=forced_mha_path(),
-                dtype=dtype,
-            )
-            self.arena.reserve(
-                ArenaAllocator(self.arena.alignment).replay(plan)
-            )
-            self._reserved_tiles.add(tile)
 
     def _forward_numeric_packed(
         self, x_tile: np.ndarray, mega: CrossRequestPacking
@@ -291,32 +188,7 @@ class BertEncoderModel:
         hidden = self.config.hidden_size
         total = mega.total_tokens
         packing = mega.packing
-        x_valid = x_tile[:total]
-        arena = self.arena
-        if arena is not None and np.issubdtype(x_tile.dtype, np.floating):
-            dt = x_tile.dtype
-            self.prereserve_tiles((mega.tile,), packing.max_seq_len, dt)
-            arena.begin()
-            cur = arena.take("h0", (total, hidden), dt)
-            nxt = arena.take("h1", (total, hidden), dt)
-            np.copyto(cur, x_valid)
-            for layer in self.weights.layers:
-                encoder_layer_packed(
-                    cur,
-                    layer,
-                    self.config,
-                    self.opt,
-                    packing,
-                    ctx=context,
-                    scratch=arena,
-                    out=nxt,
-                )
-                cur, nxt = nxt, cur
-            out = arena.take("output", (mega.tile, hidden), dt)
-            np.copyto(out[:total], cur)
-            out[total:] = 0.0
-            return out
-        hidden_state = x_valid
+        hidden_state = x_tile[:total]
         for layer in self.weights.layers:
             hidden_state = encoder_layer_packed(
                 hidden_state,
@@ -339,54 +211,8 @@ class BertEncoderModel:
         context: ExecutionContext,
     ) -> np.ndarray:
         """One forward on the flat ``[B*S, H]`` tensor; returns flat out."""
-        hidden = self.config.hidden_size
         if self.opt.remove_padding:
             packing = packing_from_mask(mask, ctx=context)
-            arena = self.arena
-            if arena is not None and np.issubdtype(flat.dtype, np.floating):
-                tokens = packing.total_tokens
-                dt = flat.dtype
-                # pre-size the backing from the shape's symbolic plan so
-                # even the first forward per shape is served entirely
-                # from the backing — zero warm-up np.empty overflows
-                shape_key = (
-                    packing.seq_lens.tobytes(),
-                    seq_len,
-                    dt.str,
-                    forced_mha_path(),
-                )
-                if shape_key not in self._reserved_shapes:
-                    plan = plan_live_forward(
-                        self.config,
-                        self.opt,
-                        packing.seq_lens,
-                        seq_len,
-                        mha=forced_mha_path(),
-                        dtype=dt,
-                    )
-                    arena.reserve(
-                        ArenaAllocator(arena.alignment).replay(plan)
-                    )
-                    self._reserved_shapes.add(shape_key)
-                arena.begin()
-                cur = arena.take("h0", (tokens, hidden), dt)
-                nxt = arena.take("h1", (tokens, hidden), dt)
-                pack(flat, packing, ctx=context, out=cur)
-                for layer in self.weights.layers:
-                    encoder_layer_packed(
-                        cur,
-                        layer,
-                        self.config,
-                        self.opt,
-                        packing,
-                        ctx=context,
-                        scratch=arena,
-                        out=nxt,
-                    )
-                    cur, nxt = nxt, cur
-                out = arena.take("output", (batch * seq_len, hidden), dt)
-                unpack(cur, packing, ctx=context, out=out)
-                return out
             hidden_state = pack(flat, packing, ctx=context)
             for layer in self.weights.layers:
                 hidden_state = encoder_layer_packed(

@@ -431,8 +431,6 @@ def merge_request_lengths(
 def pack_segments(
     segments: Sequence[np.ndarray],
     mega: CrossRequestPacking,
-    *,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Concatenate per-request ``[L_i, H]`` tensors into the tile buffer.
 
@@ -446,12 +444,7 @@ def pack_segments(
             "merged requests"
         )
     hidden = segments[0].shape[-1]
-    if out is None:
-        out = np.empty((mega.tile, hidden), dtype=segments[0].dtype)
-    elif out.shape != (mega.tile, hidden):
-        raise ValueError(
-            f"out shape {out.shape} != tile layout ({mega.tile}, {hidden})"
-        )
+    out = np.empty((mega.tile, hidden), dtype=segments[0].dtype)
     offsets = mega.segment_offsets
     for i, seg in enumerate(segments):
         rows = seg.reshape(-1, hidden)
@@ -473,8 +466,7 @@ def scatter_segments(
     """Split a packed ``[tile, H]`` (or ``[total, H]``) result back into
     per-request ``[L_i, H]`` views, in admission order.
 
-    The views alias ``packed``; callers that outlive the buffer (e.g. the
-    serving report under an arena-backed model) must copy.
+    The views alias ``packed``.
     """
     if packed.ndim != 2 or packed.shape[0] < mega.total_tokens:
         raise ValueError(
@@ -489,7 +481,6 @@ def pack(
     packing: PackedSeqs,
     *,
     ctx: ExecutionContext | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pack a padded ``[B, S, H]`` or ``[B*S, H]`` tensor to ``[T, H]``."""
     if x_padded.ndim == 3:
@@ -508,7 +499,7 @@ def pack(
             )
     else:
         raise ValueError(f"expected 2-D or 3-D tensor, got {x_padded.shape}")
-    return pack_tokens(x_padded, packing.gather_idx, ctx=ctx, out=out)
+    return pack_tokens(x_padded, packing.gather_idx, ctx=ctx)
 
 
 def unpack(
@@ -516,7 +507,6 @@ def unpack(
     packing: PackedSeqs,
     *,
     ctx: ExecutionContext | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unpack ``[T, H]`` back to padded ``[B*S, H]`` (padding zeroed)."""
     if x_packed.ndim != 2 or x_packed.shape[0] != packing.total_tokens:
@@ -524,5 +514,5 @@ def unpack(
             f"expected [{packing.total_tokens}, H], got {x_packed.shape}"
         )
     return unpack_tokens(
-        x_packed, packing.gather_idx, packing.padded_rows, ctx=ctx, out=out
+        x_packed, packing.gather_idx, packing.padded_rows, ctx=ctx
     )

@@ -1,22 +1,17 @@
-"""Paged KV-cache arena: fixed-size blocks over one live backing buffer.
+"""Paged KV-cache arena: fixed-size blocks over one preallocated pool.
 
 TurboTransformers showed decoder serving needs block-managed dynamic
 memory; vLLM-style paged attention made the block table the unit of
 bookkeeping.  This module is that design on the repo's own substrate: a
-persistent block pool carved out of a :class:`~repro.core.memory_planner.
-LiveArena`, per-request block tables, and swap-based eviction under
-memory pressure.
+persistent block pool, per-request block tables, and swap-based
+eviction under memory pressure.
 
 Contract highlights:
 
-* the pool is **one** arena tensor ``[blocks, block_tokens, 2, hidden]``
-  taken once at construction.  :func:`~repro.core.memory_planner.
-  plan_paged_kv_arena` predicts its exact bytes, the constructor
-  ``reserve()``s them, so the pool is backed from the first take and
-  :attr:`overflow_allocs` stays 0 — the gate the ``decode_serving``
-  bench section enforces;
-* K/V rows are stored in the engine's float64 numerics (like the
-  megabatch arena); the *modelled* deployment bytes the telemetry gauges
+* the pool is **one** ndarray ``[blocks, block_tokens, 2, hidden]``
+  allocated at construction and never grown;
+* K/V rows are stored in the engine's float64 numerics; the *modelled*
+  deployment bytes the telemetry gauges
   report are FP16 (:data:`~repro.gpusim.memory.BYTES_PER_ELEMENT`),
   matching :attr:`~repro.decoder.generation.PackedKVCache.packed_bytes`;
 * :meth:`append_rows` raises :class:`KVPressureError` instead of
@@ -33,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.memory_planner import LiveArena, plan_paged_kv_arena, peak_live_bytes
 from repro.gpusim.memory import BYTES_PER_ELEMENT
 
 #: default tokens per KV block — small enough that ragged contexts waste
@@ -67,21 +61,24 @@ class PagedKVArena:
         block_tokens: int = DEFAULT_KV_BLOCK_TOKENS,
         dtype: np.dtype | type = np.float64,
     ) -> None:
-        plan = plan_paged_kv_arena(
-            hidden, capacity_tokens, block_tokens, dtype=dtype
-        )
+        if hidden <= 0:
+            raise ValueError(f"hidden must be positive, got {hidden}")
+        if block_tokens <= 0:
+            raise ValueError(
+                f"block_tokens must be positive, got {block_tokens}"
+            )
+        if capacity_tokens < block_tokens:
+            raise ValueError(
+                f"capacity_tokens {capacity_tokens} below one block "
+                f"({block_tokens} tokens)"
+            )
         self.hidden = int(hidden)
         self.block_tokens = int(block_tokens)
         self.num_blocks = -(-int(capacity_tokens) // int(block_tokens))
         self.dtype = np.dtype(dtype)
-        self._arena = LiveArena()
-        self._arena.reserve(peak_live_bytes(plan))
-        self._arena.begin()
         #: the whole pool: ``[block, slot, 0=K/1=V, hidden]``
-        self._pool = self._arena.take(
-            "kv_blocks",
-            (self.num_blocks, self.block_tokens, 2, self.hidden),
-            self.dtype,
+        self._pool = np.empty(
+            (self.num_blocks, self.block_tokens, 2, self.hidden), self.dtype
         )
         self._free: list[int] = list(range(self.num_blocks - 1, -1, -1))
         self._tables: dict[int, list[int]] = {}
@@ -110,12 +107,6 @@ class PagedKVArena:
     def live_tokens(self) -> int:
         """Valid (non-tail) KV tokens resident in the pool."""
         return sum(self._lengths.values())
-
-    @property
-    def overflow_allocs(self) -> int:
-        """Pool takes served by ``np.empty`` instead of the backing —
-        0 forever when the plan-driven reserve sized the backing."""
-        return self._arena.overflow_allocs
 
     @property
     def live_bytes(self) -> int:

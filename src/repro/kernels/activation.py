@@ -244,19 +244,15 @@ def add_bias_gelu(
     *,
     ctx: ExecutionContext | None = None,
     category: str = "activation",
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
     variant: str = "exact",
 ) -> np.ndarray:
     """Fused-elementwise (but not GEMM-fused) add-bias + GELU kernel.
 
     One read and one write of the tensor.  This is what a framework with
     element-wise fusion (e.g. XLA, JIT) launches after an unfused GEMM.
-    When ``out``/``tmp`` are given (both or neither) the result lands in
-    ``out`` with zero tensor allocations, bit-identical to the allocating
-    path; ``out`` may alias ``x``.  Without ``out``, only the result
-    tensor is allocated — the erf/tanh temporary comes from the pooled
-    :data:`~repro.core.memory_planner.KERNEL_SCRATCH`.  ``variant``
+    Only the result tensor is allocated — the erf/tanh temporary comes
+    from the pooled :data:`~repro.core.memory_planner.KERNEL_SCRATCH`.
+    ``variant``
     selects the host formula; the launch descriptor is the same either
     way (see module docstring).
     """
@@ -268,11 +264,10 @@ def add_bias_gelu(
     resolve_context(ctx).launch(
         add_bias_gelu_launch(rows, cols, category)
     )
-    if out is None:
-        out = x + bias
-        tmp = KERNEL_SCRATCH.take(out.shape, out.dtype)
-    elif tmp is None:
-        raise ValueError("out= requires a tmp= buffer of the same shape")
-    else:
-        np.add(x, bias, out=out)
-    return apply_gelu(out, out=out, tmp=tmp, variant=variant)
+    out = x + bias
+    return apply_gelu(
+        out,
+        out=out,
+        tmp=KERNEL_SCRATCH.take(out.shape, out.dtype),
+        variant=variant,
+    )

@@ -103,8 +103,6 @@ def tile_gemm(
     ctx: ExecutionContext | None = None,
     name: str = "gemm",
     category: str = "gemm",
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
 ) -> np.ndarray:
     """Project every segment of a packed tile buffer in **one** BLAS call.
 
@@ -144,6 +142,4 @@ def tile_gemm(
         ctx=ctx,
         name=name,
         category=category,
-        out=out,
-        tmp=tmp,
     )

@@ -110,8 +110,6 @@ def gemm(
     ctx: ExecutionContext | None = None,
     name: str = "gemm",
     category: str = "gemm",
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
     gelu_variant: str = "exact",
 ) -> np.ndarray:
     """Compute ``a @ b`` with an optional fused bias/activation epilogue.
@@ -121,13 +119,9 @@ def gemm(
     bias vector read — the result tensor is transformed in registers before
     its single store, exactly the fusion of §III-C.2.
 
-    ``out`` routes the product (and epilogue) into caller storage with
-    zero tensor allocations and bit-identical values — ``np.matmul`` with
-    ``out=`` issues the same BLAS call.  A GELU epilogue additionally
-    needs ``tmp`` (same shape as ``out``, no aliasing); without ``out``
-    the epilogue temporary comes from the pooled
-    :data:`~repro.core.memory_planner.KERNEL_SCRATCH`, so the allocating
-    form still performs exactly one tensor allocation.  ``gelu_variant``
+    The GELU epilogue's temporary comes from the pooled
+    :data:`~repro.core.memory_planner.KERNEL_SCRATCH`, so the kernel
+    performs exactly one tensor allocation.  ``gelu_variant``
     picks the host formula (``"exact"``/``"tanh"``); the launch
     descriptor and modelled time are identical for both.
     """
@@ -152,30 +146,16 @@ def gemm(
     # through `forward` must match its row inside a packed megabatch).
     # Duplicate the row so BLAS stays on the gemm path and keep row 0;
     # the launch descriptor below still prices the real m=1 problem.
-    if out is None:
-        out = (np.concatenate([a, a], axis=0) @ b)[:1] if m == 1 else a @ b
-        if bias is not None:
-            out = out + bias
-        if activation == "gelu":
-            apply_gelu(
-                out,
-                out=out,
-                tmp=KERNEL_SCRATCH.take(out.shape, out.dtype),
-                variant=gelu_variant,
-            )
-    else:
-        if m == 1:
-            np.copyto(out, (np.concatenate([a, a], axis=0) @ b)[:1])
-        else:
-            np.matmul(a, b, out=out)
-        if bias is not None:
-            np.add(out, bias, out=out)
-        if activation == "gelu":
-            if tmp is None:
-                raise ValueError(
-                    "gelu epilogue with out= requires a tmp= buffer"
-                )
-            apply_gelu(out, out=out, tmp=tmp, variant=gelu_variant)
+    out = (np.concatenate([a, a], axis=0) @ b)[:1] if m == 1 else a @ b
+    if bias is not None:
+        out = out + bias
+    if activation == "gelu":
+        apply_gelu(
+            out,
+            out=out,
+            tmp=KERNEL_SCRATCH.take(out.shape, out.dtype),
+            variant=gelu_variant,
+        )
     if bias is not None:
         epilogue_bytes += tensor_bytes(n)
 

@@ -37,39 +37,6 @@ def layernorm_reference(
     return (x - mean) / np.sqrt(var + eps) * gamma + beta
 
 
-def layernorm_into(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    *,
-    eps: float = LAYERNORM_EPS,
-    out: np.ndarray,
-    tmp: np.ndarray,
-) -> np.ndarray:
-    """:func:`layernorm_reference` into caller storage, bit for bit.
-
-    Replicates NumPy's ``mean``/``var`` internals step by step (pairwise
-    ``np.sum`` is the same reduction ``ndarray.mean`` uses; ``var`` squares
-    the centred values with a self-multiply) so the result is bitwise
-    identical to the reference while only the tiny ``[rows, 1]`` reduction
-    vectors are allocated.  ``tmp`` may alias ``x`` (``x`` is consumed
-    once ``out`` holds the centred values); ``out`` must alias neither.
-    """
-    n = x.shape[-1]
-    mean = np.sum(x, axis=-1, keepdims=True)
-    mean /= n
-    np.subtract(x, mean, out=out)
-    np.multiply(out, out, out=tmp)
-    var = np.sum(tmp, axis=-1, keepdims=True)
-    var /= n
-    np.add(var, eps, out=var)
-    np.sqrt(var, out=var)
-    np.divide(out, var, out=out)
-    np.multiply(out, gamma, out=out)
-    np.add(out, beta, out=out)
-    return out
-
-
 def _ln_launch(
     rows: int, cols: int, name: str, category: str, tensor_passes: float
 ) -> KernelLaunch:
@@ -178,27 +145,10 @@ def add_bias_residual_layernorm_unfused(
     eps: float = LAYERNORM_EPS,
     ctx: ExecutionContext | None = None,
     category: str = "layernorm",
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Two-kernel baseline: add-bias-and-residual, then layernorm.
-
-    With ``out``/``tmp`` (both or neither) the intermediate lives in
-    ``tmp`` and the result in ``out`` — same two launches, zero tensor
-    allocations, bit-identical values.
-    """
-    if out is None:
-        inter = add_bias_residual(x, bias, residual, ctx=ctx, category=category)
-        return layernorm(inter, gamma, beta, eps=eps, ctx=ctx, category=category)
-    if tmp is None:
-        raise ValueError("out= requires a tmp= buffer of the same shape")
-    rows, cols = x.shape
-    context = resolve_context(ctx)
-    context.launch(add_bias_residual_launch(rows, cols, category))
-    np.add(x, bias, out=tmp)
-    np.add(tmp, residual, out=tmp)
-    context.launch(layernorm_launch(rows, cols, category))
-    return layernorm_into(tmp, gamma, beta, eps=eps, out=out, tmp=tmp)
+    """Two-kernel baseline: add-bias-and-residual, then layernorm."""
+    inter = add_bias_residual(x, bias, residual, ctx=ctx, category=category)
+    return layernorm(inter, gamma, beta, eps=eps, ctx=ctx, category=category)
 
 
 def add_bias_residual_layernorm(
@@ -211,16 +161,12 @@ def add_bias_residual_layernorm(
     eps: float = LAYERNORM_EPS,
     ctx: ExecutionContext | None = None,
     category: str = "layernorm",
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fused kernel: ``LayerNorm(x + bias + residual)`` in one launch.
 
     Reads ``x`` and ``residual`` once, keeps the sum in registers through
     both reduction rounds (FP16 SIMD2 in the paper's kernel), writes the
-    output once — three tensor passes instead of five.  With ``out``/
-    ``tmp`` (both or neither) the sum is built in ``tmp`` and normalised
-    into ``out``: one launch, zero tensor allocations, identical bits.
+    output once — three tensor passes instead of five.
     """
     if x.shape != residual.shape:
         raise ValueError(
@@ -234,10 +180,4 @@ def add_bias_residual_layernorm(
     if gamma.shape != (cols,) or beta.shape != (cols,):
         raise ValueError("gamma/beta must match the hidden dimension")
     resolve_context(ctx).launch(fused_layernorm_launch(rows, cols, category))
-    if out is None:
-        return layernorm_reference(x + bias + residual, gamma, beta, eps)
-    if tmp is None:
-        raise ValueError("out= requires a tmp= buffer of the same shape")
-    np.add(x, bias, out=tmp)
-    np.add(tmp, residual, out=tmp)
-    return layernorm_into(tmp, gamma, beta, eps=eps, out=out, tmp=tmp)
+    return layernorm_reference(x + bias + residual, gamma, beta, eps)

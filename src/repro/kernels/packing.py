@@ -77,23 +77,15 @@ def pack_tokens(
     *,
     ctx: ExecutionContext | None = None,
     category: str = "packing",
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gather valid rows: ``[B*S, H]`` + indices ``[T]`` → ``[T, H]``.
-
-    ``out`` receives the gather without allocating (``np.take`` with
-    ``out=`` — the same element selection as fancy indexing).
-    """
+    """Gather valid rows: ``[B*S, H]`` + indices ``[T]`` → ``[T, H]``."""
     if x_padded.ndim != 2:
         raise ValueError(f"expected [rows, H], got {x_padded.shape}")
     _check_gather(gather_idx, x_padded.shape[0])
     tokens = gather_idx.shape[0]
     hidden = x_padded.shape[1]
     resolve_context(ctx).launch(pack_launch(tokens, hidden, category))
-    if out is None:
-        return x_padded[gather_idx]
-    np.take(x_padded, gather_idx, axis=0, out=out)
-    return out
+    return x_padded[gather_idx]
 
 
 def unpack_tokens(
@@ -103,14 +95,12 @@ def unpack_tokens(
     *,
     ctx: ExecutionContext | None = None,
     category: str = "packing",
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scatter packed rows back to padded layout, zero-filling padding.
 
     Writes the whole padded tensor (real kernels memset + scatter), so its
     cost scales with ``B*S`` — which is exactly why the paper fuses unpack
     into neighbouring kernels rather than paying for it standalone.
-    ``out`` receives the scatter without allocating (memset + scatter).
     """
     if x_packed.ndim != 2:
         raise ValueError(f"expected [T, H], got {x_packed.shape}")
@@ -123,9 +113,6 @@ def unpack_tokens(
     resolve_context(ctx).launch(
         unpack_launch(tokens, padded_rows, hidden, category)
     )
-    if out is None:
-        out = np.zeros((padded_rows, hidden), dtype=x_packed.dtype)
-    else:
-        out.fill(0)
+    out = np.zeros((padded_rows, hidden), dtype=x_packed.dtype)
     out[gather_idx] = x_packed
     return out

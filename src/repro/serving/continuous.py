@@ -97,9 +97,8 @@ def scatter_outputs(
     """Each request's ``[len_i, H]`` output rows, copied out of the tile.
 
     The copies (unlike the views of
-    :func:`~repro.core.padding.scatter_segments`) survive the next
-    forward on an arena-backed model, which is what a serving report
-    needs.
+    :func:`~repro.core.padding.scatter_segments`) let the serving report
+    keep each output without pinning the whole tile.
     """
     outs = [seg.copy() for seg in scatter_segments(out_tile, mega)]
     tel = current_telemetry()

@@ -613,7 +613,6 @@ class GenerationRuntime:
                 "peak_live_bytes": float(arena.peak_live_bytes),
                 "evictions": float(arena.evictions),
                 "swap_ins": float(arena.swap_ins),
-                "overflow_allocs": float(arena.overflow_allocs),
             },
             graph_hits=cache.hits if cache else 0,
             graph_lookups=cache.hits + cache.misses if cache else 0,

@@ -281,12 +281,7 @@ class ServingRuntime:
 
     def _compute_output(self, request: Request) -> np.ndarray:
         x, mask = self._request_input(request)
-        out = self.numerics.forward(x, mask)
-        if self.numerics.arena is not None:
-            # arena-backed outputs are views valid only until the next
-            # forward; the report keeps them past that
-            return out[0].copy()
-        return out[0]
+        return self.numerics.forward(x, mask)[0]
 
     def _compute_batch_outputs(
         self,
@@ -350,15 +345,6 @@ class ServingRuntime:
         run = ServingCore(self, trace)
         settle = run.settle
         tel = run.tel
-        if self.numerics is not None and isinstance(
-            self.batcher, ContinuousBatcher
-        ):
-            # size the arena for every tile the batcher can emit before
-            # the first dispatch: steady-state serving then never pays a
-            # warm-up overflow alloc
-            self.numerics.prereserve_tiles(
-                self.batcher.effective_tiles(), trace.max_seq_len
-            )
         outputs: dict[int, np.ndarray] = {}
 
         #: (qos, home device, pending dispatches) in replay-priority

@@ -8,14 +8,16 @@ length mix, and bit for bit with the default exact-length buckets.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.attention.bucketed import bucketed_sdpa, build_buckets
 from repro.attention.fused_long import fused_long_mha, fused_long_reference
 from repro.attention.fused_short import fused_short_mha, fused_short_reference
-from repro.core.config import STEPWISE_PRESETS, BertConfig
-from repro.core.memory_planner import LiveArena
+from repro.core.config import FUSED_MHA, STEPWISE_PRESETS, BertConfig
+from repro.core.estimator import estimate_model
 from repro.core.model import BertEncoderModel
 from repro.core.padding import packing_from_lengths
 from repro.gpusim.stream import ExecutionContext
@@ -134,22 +136,33 @@ def test_grouped_gemm_transpose_b(rng):
         np.testing.assert_allclose(oi, ai @ bi.T, rtol=0, atol=1e-5)
 
 
-@pytest.mark.parametrize("label", ["rm padding", "fused MHA"])
+FULL_MODEL_PRESETS = {
+    **{p.label: p for p in STEPWISE_PRESETS},
+    # every sentence through the grouped-GEMM long kernel
+    "forced long": dataclasses.replace(FUSED_MHA, fused_mha_short_max_seq=1),
+}
+
+
+@pytest.mark.parametrize("label", ["rm padding", "fused MHA", "forced long"])
 def test_full_model_launch_stream_identity(label):
-    """End to end: the arena path, which runs whenever an arena is set,
-    emits the plain path's bits and launch stream record for record."""
-    preset = {p.label: p for p in STEPWISE_PRESETS}[label]
+    """End to end: the forward launches the estimator's chain record for
+    record, and its bits match each sentence run alone — bucket
+    composition never changes a value."""
+    preset = FULL_MODEL_PRESETS[label]
     config = BertConfig(num_heads=NUM_HEADS, head_size=HEAD_SIZE, num_layers=2)
     data = make_batch(5, MAX_SEQ, config.hidden_size, alpha=0.6, seed=11)
-    runs = []
-    for arena in (None, LiveArena()):
-        model = BertEncoderModel(config, preset, seed=2, arena=arena)
-        ctx = ExecutionContext()
-        runs.append((model.forward(data.x, data.mask, ctx=ctx), ctx))
-    (plain_out, plain), (arena_out, arena) = runs
-    assert arena_out.base is not None  # a view into the arena
-    assert np.array_equal(arena_out, plain_out)
-    assert [(r.launch, r.time_us) for r in arena.records] == [
-        (r.launch, r.time_us) for r in plain.records
+    model = BertEncoderModel(config, preset, seed=2)
+    ctx = ExecutionContext()
+    out = model.forward(data.x, data.mask, ctx=ctx)
+    names = {r.launch.name for r in ctx.records}
+    assert ("fmha_grouped_qk" in names) == (label == "forced long")
+    estimated = ExecutionContext()
+    estimate_model(estimated, config, preset, data.seq_lens, MAX_SEQ)
+    assert [(r.launch, r.time_us, r.start_us) for r in ctx.records] == [
+        (r.launch, r.time_us, r.start_us) for r in estimated.records
     ]
-    assert arena.elapsed_us() == plain.elapsed_us()
+    for b, length in enumerate(data.seq_lens):
+        alone = model.forward(
+            data.x[b : b + 1, :length], data.mask[b : b + 1, :length]
+        )
+        assert np.array_equal(alone[0], out[b, :length])

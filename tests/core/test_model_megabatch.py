@@ -2,15 +2,15 @@
 
 The continuous-batching tentpole rides on ``forward_packed``: many
 requests merged into one tile buffer must compute exactly the bits each
-request would get alone, replay one launch graph per tile regardless of
-composition, and never alias arena scratch across buckets.
+request would get alone and price the tile's canonical launch chain, so
+one launch graph per tile serves every composition.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.config import FUSED_MHA, BertConfig
-from repro.core.memory_planner import LiveArena
+from repro.core.estimator import estimate_model_tiled
 from repro.core.model import BertEncoderModel
 from repro.core.padding import (
     merge_request_lengths,
@@ -111,17 +111,35 @@ class TestBitwiseOracle:
 
 class TestTileGraphReuse:
     def test_one_capture_then_replays_across_compositions(
-        self, model, small_config, rng
+        self, small_config, rng
     ):
+        # every composition of one tile prices the tile's canonical
+        # chain, so one captured graph serves them all
         cache = GraphCache()
-        model.graph_cache = cache
         ctx = ExecutionContext()
         for lens in ([5, 12, 3, 8], [16, 16, 16, 16], [1, 1], [30]):
             lens = [min(length, MAX_SEQ) for length in lens]
-            _, mega, x_tile = make_megabatch(small_config, rng, lens)
-            model.forward_packed(x_tile, mega, ctx=ctx)
+            _, mega, _ = make_megabatch(small_config, rng, lens)
+            estimate_model_tiled(
+                ctx, small_config, FUSED_MHA, mega.tile, MAX_SEQ, cache=cache
+            )
         counts = cache.kind_counts()["tile"]
         assert counts == {"captures": 1, "replays": 3}
+
+    def test_forward_packed_records_the_tiled_chain(
+        self, model, small_config, rng
+    ):
+        _, mega, x_tile = make_megabatch(small_config, rng, [5, 12, 3, 8])
+        ctx = ExecutionContext()
+        model.forward_packed(x_tile, mega, ctx=ctx)
+        priced = ExecutionContext()
+        estimate_model_tiled(
+            priced, small_config, FUSED_MHA, mega.tile, MAX_SEQ
+        )
+        assert [
+            (r.launch.name, r.start_us, r.time_us) for r in ctx.records
+        ] == [(r.launch.name, r.start_us, r.time_us) for r in priced.records]
+        assert ctx.elapsed_us() == priced.elapsed_us()
 
     def test_validation(self, small_config, small_weights, rng):
         padded = BertEncoderModel(small_config, weights=small_weights)
@@ -133,39 +151,3 @@ class TestTileGraphReuse:
         )
         with pytest.raises(ValueError, match="tile buffer"):
             packed.forward_packed(x_tile[:-1], mega)
-
-
-class TestArenaMegabatch:
-    def test_arena_matches_no_arena(
-        self, small_config, small_weights, rng
-    ):
-        # an arena-backed megabatch must not alias scratch across
-        # buckets — outputs stay bit-identical to the allocation-per-op
-        # path
-        plain = BertEncoderModel(small_config, FUSED_MHA, weights=small_weights)
-        arena_model = BertEncoderModel(
-            small_config,
-            FUSED_MHA,
-            weights=small_weights,
-            arena=LiveArena(),
-        )
-        segments, mega, x_tile = make_megabatch(
-            small_config, rng, [5, 12, 3, 8, 16, 2]
-        )
-        expected = plain.forward_packed(x_tile.copy(), mega)
-        got = arena_model.forward_packed(x_tile, mega)
-        np.testing.assert_array_equal(got, expected)
-
-    def test_tile_reservation_prevents_overflow(
-        self, small_config, small_weights, rng
-    ):
-        # the tile's canonical plan is an upper bound over every
-        # composition, so no megabatch of this tile regrows the arena
-        arena = LiveArena()
-        model = BertEncoderModel(
-            small_config, FUSED_MHA, weights=small_weights, arena=arena
-        )
-        for lens in ([5, 12, 3, 8], [16] * 4, [1, 2, 3], [16, 1, 16, 1]):
-            _, mega, x_tile = make_megabatch(small_config, rng, lens)
-            model.forward_packed(x_tile, mega)
-        assert arena.overflow_allocs == 0

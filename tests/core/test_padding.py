@@ -200,11 +200,3 @@ class TestCrossRequestPacking:
             pack_segments(
                 [rng.normal(size=(2, 4)), rng.normal(size=(4, 4))], mega
             )
-
-    def test_pack_segments_out_reuse(self, rng):
-        mega = merge_request_lengths(np.array([2, 3]), 4, 8)
-        segs = [rng.normal(size=(2, 4)), rng.normal(size=(3, 4))]
-        out = np.full((8, 4), 7.0)
-        result = pack_segments(segs, mega, out=out)
-        assert result is out
-        assert not out[5:].any()

@@ -104,42 +104,33 @@ def test_graph_replay_section(result):
     assert graph["capture_us"] > 0
     assert graph["replay_us"] > 0
     assert graph["speedup_vs_eager"] > 1.0  # replay must beat eager pricing
-    steady = graph["steady_state_forward"]
-    assert steady["wall_us"] > 0
-    assert steady["outputs_bitwise_equal"] is True
+    assert "steady_state_forward" not in graph
     inv = result["invariants"]
     assert inv["graph_modelled_us_equal"] is True
     assert inv["graph_streams_identical"] is True
-    assert inv["steady_outputs_bitwise_equal"] is True
-    assert inv["steady_modelled_us_equal"] is True
-
-
-def test_steady_state_alloc_section(result):
-    alloc = result["sections"]["steady_state_alloc"]
-    assert alloc["arena_engaged"] is True
-    assert alloc["large_allocation_count"] == 0
-    assert alloc["arena_footprint_bytes"] > 0
-    assert 0 <= alloc["peak_delta_bytes"] < alloc["peak_budget_bytes"]
+    # the model-level arena and graph cache are gone, and so are their
+    # steady-state audit and invariants
+    assert "steady_state_alloc" not in result["sections"]
+    assert not [key for key in inv if key.startswith("steady_")]
 
 
 def test_cache_stats_reported(result):
     stats = {s["name"]: s for s in result["cache_stats"]}
-    for name in ("packing", "estimator_graphs", "model_graphs"):
+    for name in ("packing", "estimator_graphs"):
         assert name in stats, name
         assert stats[name]["misses"] >= 1
     # the bench exercises every cache's hit path
     assert stats["estimator_graphs"]["hits"] >= 1
-    assert stats["model_graphs"]["hits"] >= 1
 
 
 def test_check_invariants_passes_and_detects_breakage(result):
     assert check_invariants(result) == []
     broken = json.loads(json.dumps(result))  # deep copy
     broken["invariants"]["graph_streams_identical"] = False
-    broken["sections"]["steady_state_alloc"]["large_allocation_count"] = 3
+    broken["invariants"]["graph_modelled_us_equal"] = False
     failures = check_invariants(broken)
     assert any("stream" in f for f in failures)
-    assert any("large allocations" in f for f in failures)
+    assert any("changed modelled_us" in f for f in failures)
 
 
 def test_json_round_trip(result, tmp_path):
@@ -250,16 +241,6 @@ def test_fast_gelu_gates_always_fail_hard(result):
     failures = check_invariants(broken)
     assert any("fast-gelu" in f and "atol" in f for f in failures)
     assert any("fast-gelu changed the launch stream" in f for f in failures)
-
-
-def test_arena_overflow_gate(result):
-    assert (
-        result["sections"]["steady_state_alloc"]["arena_overflow_allocs"]
-        == 0
-    )
-    broken = json.loads(json.dumps(result))
-    broken["sections"]["steady_state_alloc"]["arena_overflow_allocs"] = 3
-    assert any("overflow" in f for f in check_invariants(broken))
 
 
 def test_summary_mentions_fast_gelu(result):
