@@ -36,11 +36,6 @@ The sections reported:
   and bitwise oracle legs (clean and chaos with forced eviction/resume)
   — all hard ``--check`` gates,
   because every number is modelled-clock deterministic.
-* ``fast_gelu`` — the opt-in tanh GELU vs the exact erf GELU on one
-  tile-quantized megabatch: host wall time of each, and a hard gate
-  that the fast output lands within the end-to-end tolerance ``layers *
-  FAST_GELU_ATOL`` (per-application error compounds at most linearly
-  through the depth) without touching the launch stream.
 
 Every section runs on one serial host path; there is no worker fan-out.
 
@@ -70,20 +65,18 @@ import numpy as np
 from repro.attention.dispatch import byte_mha
 from repro.attention.fused_long import fused_long_reference
 from repro.attention.fused_short import fused_short_reference, supports
-from repro.core.config import FAST_GELU, BertConfig, STEPWISE_PRESETS
+from repro.core.config import BertConfig, STEPWISE_PRESETS
 from repro.core.estimator import estimate_model, estimate_model_graphed
 from repro.core.model import BertEncoderModel
 from repro.core.padding import (
     PackingCache,
     default_packing_cache,
-    merge_request_lengths,
     packing_from_mask,
     packing_from_mask_reference,
 )
 from repro.gpusim.graph import GraphCache
 from repro.gpusim.profiler import CacheStats
 from repro.gpusim.stream import ExecutionContext, NullContext
-from repro.kernels.activation import FAST_GELU_ATOL
 from repro.kernels.gemm import gemm
 from repro.workloads.generator import make_batch
 
@@ -96,7 +89,7 @@ QUICK_OVERRIDES: dict[str, Any] = {
     "serve_requests": 12,
 }
 
-_PRESETS_BY_LABEL = {p.label: p for p in (*STEPWISE_PRESETS, FAST_GELU)}
+_PRESETS_BY_LABEL = {p.label: p for p in STEPWISE_PRESETS}
 
 
 def _time_best_of(fn: Callable[[], Any], repeats: int) -> float:
@@ -606,81 +599,6 @@ def _sharded_serving_section(
     return section
 
 
-def _fast_gelu_section(
-    config: BertConfig,
-    opt: Any,
-    data: Any,
-    max_seq_len: int,
-    repeats: int,
-    seed: int,
-) -> dict[str, Any] | None:
-    """Fast (tanh) GELU vs the exact erf GELU on one megabatch tile.
-
-    The whole batch is merged into one tile-quantized megabatch (the
-    continuous-serving hot path) and run on the numeric plane under the
-    preset and under its ``gelu_variant="tanh"`` twin.  Fast-GELU must
-    land within the documented end-to-end tolerance — one GELU
-    application per layer, each within
-    :data:`~repro.kernels.activation.FAST_GELU_ATOL`, compounds at most
-    linearly in depth (layernorm renormalises between layers, so there
-    is no multiplicative blow-up), hence ``layers * atol`` — with an
-    identical launch stream.  ``None`` when the preset keeps padding
-    (no packed pipeline to merge into a tile).
-    """
-    if not opt.remove_padding:
-        return None
-    seq_lens = np.asarray(data.mask.sum(axis=1), dtype=np.int64)
-    total = int(seq_lens.sum())
-    tile = -(-total // 512) * 512
-    mega = merge_request_lengths(seq_lens, max_seq_len, tile, cache=None)
-    flat = data.x.reshape(-1, config.hidden_size)
-    packing = packing_from_mask(data.mask, ctx=NullContext())
-    x_tile = np.zeros((tile, config.hidden_size), dtype=flat.dtype)
-    x_tile[:total] = flat[packing.gather_idx]
-
-    def tile_model(run_opt: Any) -> BertEncoderModel:
-        model = BertEncoderModel(config, opt=run_opt, seed=seed)
-        # warm up: the first forward grows the kernels' scratch pool
-        model.forward_packed(x_tile, mega, ctx=NullContext())
-        return model
-
-    def stream_of(model: BertEncoderModel) -> tuple:
-        ctx = ExecutionContext()
-        return model.forward_packed(x_tile, mega, ctx=ctx), ctx
-
-    def wall_of(model: BertEncoderModel) -> float:
-        return _time_best_of(
-            lambda: model.forward_packed(x_tile, mega, ctx=NullContext()),
-            repeats,
-        )
-
-    exact_model = tile_model(opt)
-    exact_out, exact_ctx = stream_of(exact_model)
-    exact_wall = wall_of(exact_model)
-
-    fast_model = tile_model(dataclasses.replace(opt, gelu_variant="tanh"))
-    fast_out, fast_ctx = stream_of(fast_model)
-    fast_diff = float(np.max(np.abs(fast_out - exact_out)))
-    fast_wall = wall_of(fast_model)
-
-    atol = config.num_layers * FAST_GELU_ATOL
-    return {
-        "tile": tile,
-        "segments": int(seq_lens.shape[0]),
-        "total_tokens": total,
-        "wall_us": fast_wall,
-        "reference_wall_us": exact_wall,
-        "speedup_vs_exact": exact_wall / fast_wall,
-        "max_abs_diff": fast_diff,
-        "atol_per_gelu": FAST_GELU_ATOL,
-        "atol": atol,
-        "within_atol": bool(fast_diff <= atol),
-        "launch_streams_identical": _launches_identical(
-            exact_ctx.records, fast_ctx.records
-        ),
-    }
-
-
 def run_wallclock_bench(
     *,
     batch: int = 16,
@@ -797,11 +715,6 @@ def run_wallclock_bench(
         packing_repeats,
     )
 
-    # ---- fast (tanh) GELU vs exact on one megabatch tile -------------
-    fast_gelu_section = _fast_gelu_section(
-        config, opt, data, max_seq_len, repeats, seed
-    )
-
     # ---- multi-device sharded serving --------------------------------
     sharded_serving_section = _sharded_serving_section(devices, shard, seed)
 
@@ -843,11 +756,6 @@ def run_wallclock_bench(
                 "speedup_cache_hit": packing_loop_us / packing_warm_us,
             },
             "graph_replay": graph_replay_section,
-            **(
-                {"fast_gelu": fast_gelu_section}
-                if fast_gelu_section is not None
-                else {}
-            ),
             **(
                 {"sharded_serving": sharded_serving_section}
                 if sharded_serving_section is not None
@@ -934,14 +842,6 @@ def format_summary(result: dict[str, Any]) -> str:
             f"({graph['speedup_vs_eager']:.2f}x); capture "
             f"{graph['capture_us']:.0f} us"
         )
-    fg = result["sections"].get("fast_gelu")
-    if fg is not None:
-        lines.append(
-            f"  fast-gelu : {fg['wall_us'] / 1e3:9.2f} ms tanh "
-            f"vs {fg['reference_wall_us'] / 1e3:9.2f} ms erf "
-            f"({fg['speedup_vs_exact']:.2f}x); |diff| "
-            f"{fg['max_abs_diff']:.1e} <= {fg['atol']:g}"
-        )
     sharded = result["sections"].get("sharded_serving")
     if sharded is not None:
         head = sharded["scaling"]["points"][-1]
@@ -1003,8 +903,7 @@ def check_invariants(result: dict[str, Any]) -> list[str]:
 
     An empty list means the run is clean: attention outputs within 1e-6
     of their reference, launch streams identical eager vs
-    graph-replayed, every floor and serving gate met, and fast-GELU
-    within its tolerance on an unchanged launch stream.
+    graph-replayed, and every floor and serving gate met.
     """
     inv = result["invariants"]
     failures = []
@@ -1088,15 +987,6 @@ def check_invariants(result: dict[str, Any]) -> list[str]:
         failures.append("graph replay changed modelled_us")
     if not inv.get("graph_streams_identical", True):
         failures.append("graph replay stream != eager stream")
-    fg = result["sections"].get("fast_gelu")
-    if fg is not None:
-        if not fg["within_atol"]:
-            failures.append(
-                f"fast-gelu max |diff| {fg['max_abs_diff']:.2e} exceeds "
-                f"atol {fg['atol']}"
-            )
-        if not fg["launch_streams_identical"]:
-            failures.append("fast-gelu changed the launch stream")
     return failures
 
 

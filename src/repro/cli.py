@@ -9,9 +9,9 @@ Commands:
 * ``bench`` — wall-clock benchmark of the host forward and its hot
   paths against their per-unit references (``--quick`` for a CI smoke
   run, ``--out`` to write the JSON, ``--check`` to gate on the
-  attention-output and graph-stream invariants and the fast-GELU
-  accuracy gate, ``--baseline`` to gate against the history
-  records); prints the cache hit/miss/eviction table;
+  attention-output and graph-stream invariants, ``--baseline`` to gate
+  against the history records); prints the cache hit/miss/eviction
+  table;
 * ``serve-chaos`` — chaos-replay a serving trace with injected kernel
   faults, deadlines, retry/backoff and graceful degradation; prints the
   cache hit/miss/eviction table and the SLO summary, and can export the
@@ -61,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.config import FAST_GELU, STEPWISE_PRESETS, BertConfig
+from repro.core.config import STEPWISE_PRESETS, BertConfig
 from repro.core.estimator import estimate_model
 from repro.experiments import ALL_EXPERIMENTS
 from repro.frameworks import all_frameworks
@@ -79,11 +79,8 @@ from repro.serving.sharded import SHARD_MODES
 from repro.workloads.generator import uniform_lengths
 
 DEVICES = {spec.name: spec for spec in (A100_SPEC, V100_SPEC, A10_SPEC)}
-#: CLI-selectable presets: the Figure 13 ladder plus the opt-in
-#: fast-GELU preset (approximate within FAST_GELU_ATOL, never implied)
-PRESETS = {
-    preset.label: preset for preset in (*STEPWISE_PRESETS, FAST_GELU)
-}
+#: CLI-selectable presets: the Figure 13 ladder
+PRESETS = {preset.label: preset for preset in STEPWISE_PRESETS}
 
 
 def _add_shape_args(parser: argparse.ArgumentParser) -> None:

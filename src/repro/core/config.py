@@ -72,12 +72,6 @@ class OptimizationConfig:
     fused_mha_short_max_seq: int = 384
     #: grouped-GEMM scheduler: warp-prefetch visitor unless disabled
     warp_prefetch_scheduler: bool = True
-    #: host GELU formula: ``"exact"`` (erf, bitwise reference) or
-    #: ``"tanh"`` (the fast approximation, within
-    #: :data:`repro.kernels.activation.FAST_GELU_ATOL` of exact).  A
-    #: numeric-plane knob only: launch streams and modelled µs are
-    #: identical for both, so it is *not* part of the Figure 13 ladder.
-    gelu_variant: str = "exact"
 
     def __post_init__(self) -> None:
         if self.fused_mha and not self.remove_padding:
@@ -87,16 +81,9 @@ class OptimizationConfig:
             )
         if self.fused_mha_short_max_seq <= 0:
             raise ValueError("fused_mha_short_max_seq must be positive")
-        if self.gelu_variant not in ("exact", "tanh"):
-            raise ValueError(
-                f"unknown gelu_variant {self.gelu_variant!r}; "
-                "pick 'exact' or 'tanh'"
-            )
 
     @property
     def label(self) -> str:
-        if self.gelu_variant == "tanh":
-            return "fast-gelu"
         if self.fused_mha:
             return "fused MHA"
         if self.remove_padding:
@@ -126,16 +113,4 @@ STEPWISE_PRESETS: tuple[OptimizationConfig, ...] = (
     GELU_FUSION,
     RM_PADDING,
     FUSED_MHA,
-)
-
-#: opt-in host-speed preset: every Figure 13 optimisation plus the tanh
-#: GELU formula.  Deliberately *outside* STEPWISE_PRESETS — it changes
-#: served bits (within the documented atol), which the paper's ladder
-#: never does, so it must be chosen explicitly.
-FAST_GELU = OptimizationConfig(
-    fuse_layernorm=True,
-    fuse_gelu=True,
-    remove_padding=True,
-    fused_mha=True,
-    gelu_variant="tanh",
 )

@@ -27,7 +27,7 @@ from repro.core.config import BertConfig, OptimizationConfig
 from repro.core.padding import PackedSeqs
 from repro.core.weights import LayerWeights
 from repro.gpusim.stream import ExecutionContext, resolve_context
-from repro.kernels.activation import add_bias_gelu, resolve_gelu_variant
+from repro.kernels.activation import add_bias_gelu
 from repro.kernels.batched_gemm import tile_gemm
 from repro.kernels.gemm import gemm
 from repro.kernels.grouped_gemm import SchedulerKind
@@ -63,7 +63,6 @@ def _ffn_block(
     weights: LayerWeights,
     fuse_gelu: bool,
     ctx: ExecutionContext,
-    gelu_variant: str = "exact",
     segment_offsets: np.ndarray | None = None,
 ) -> np.ndarray:
     """GEMM2 + add-bias + GELU, fused into the epilogue or standalone.
@@ -83,15 +82,13 @@ def _ffn_block(
         return up_gemm(
             bias=weights.ffn_in_bias,
             activation="gelu",
-            gelu_variant=gelu_variant,
             ctx=ctx,
             name="gemm2_fused_bias_gelu",
             category="gemm2",
         )
     up = up_gemm(ctx=ctx, name="gemm2", category="gemm2")
     return add_bias_gelu(
-        up, weights.ffn_in_bias, ctx=ctx, category="activation",
-        variant=gelu_variant,
+        up, weights.ffn_in_bias, ctx=ctx, category="activation"
     )
 
 
@@ -146,10 +143,7 @@ def encoder_layer_padded(
         "layernorm0",
         context,
     )
-    ffn = _ffn_block(
-        ln0, weights, opt.fuse_gelu, context,
-        gelu_variant=resolve_gelu_variant(opt.gelu_variant),
-    )
+    ffn = _ffn_block(ln0, weights, opt.fuse_gelu, context)
     down = gemm(
         ffn,
         weights.ffn_out_weight,
@@ -247,9 +241,7 @@ def encoder_layer_packed(
         context,
     )
     ffn = _ffn_block(
-        ln0, weights, opt.fuse_gelu, context,
-        gelu_variant=resolve_gelu_variant(opt.gelu_variant),
-        segment_offsets=offsets,
+        ln0, weights, opt.fuse_gelu, context, segment_offsets=offsets
     )
     down = tile_gemm(
         ffn,

@@ -13,10 +13,10 @@ names, grids, FLOPs, bytes) and therefore identical modelled times.
 
 The estimated chain depends only on the *shape-relevant* parts of
 :class:`~repro.core.config.OptimizationConfig` (fusion flags, padding
-removal, MHA dispatch).  ``gelu_variant`` is deliberately invisible
-here: the exact and tanh GELU formulas are the same modelled kernel
-(same name, grid, FLOPs, bytes), so ``fast-gelu`` changes host wall
-time only — never an estimate, a graph key's stream, or a priced µs.
+removal, MHA dispatch).  The host GELU formula is invisible here: a
+GELU launch is priced by its shape alone (name, grid, FLOPs, bytes),
+so how the host computes it never moves an estimate, a graph key's
+stream or a priced µs.
 """
 
 from __future__ import annotations

@@ -17,15 +17,10 @@ The interesting output is the padded-vs-packed comparison: the unfused
 padded pipelines must hold the quadratic ``B x H x S x S`` score tensor,
 the packed fused pipelines either never materialise it (short kernel) or
 hold only the ``sum(len_i^2)`` valid region (grouped kernel).
-
-:data:`KERNEL_SCRATCH` is the one piece of live memory management: a
-per-thread pool the kernel epilogues borrow their element-wise
-temporaries from.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -313,44 +308,3 @@ def memory_report(
     peak = peak_live_bytes(trace)
     arena = ArenaAllocator().replay(trace)
     return MemoryReport(label=opt.label, peak_bytes=peak, arena_bytes=arena)
-
-
-class ScratchPool:
-    """Per-thread reusable scratch for kernel temporaries.
-
-    Without it the kernels would burn an allocation per call on their
-    element-wise temporaries — for
-    erf-GELU at bench shape that is a fresh ``[T, 4H]`` buffer per FFN,
-    the #2 host cost after GEMM.  The pool keeps one high-water byte
-    buffer per ``(thread, dtype)`` and hands out reshaped views, so in
-    steady state the temporaries allocate nothing.
-
-    Contract: a borrowed buffer is valid only until the same thread's
-    next :meth:`take` of the same dtype — exactly one live borrow per
-    thread per dtype, which the non-nesting kernel epilogues satisfy.
-    Thread-locality keeps concurrent callers (say, two models served
-    from two threads) from sharing a borrow.
-    """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-
-    def take(
-        self, shape: tuple[int, ...], dtype: np.dtype | type
-    ) -> np.ndarray:
-        """A ``shape``/``dtype`` scratch view, reused across calls."""
-        dt = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        bufs: dict[str, np.ndarray] = getattr(self._local, "bufs", None)
-        if bufs is None:
-            bufs = {}
-            self._local.bufs = bufs
-        buf = bufs.get(dt.str)
-        if buf is None or buf.nbytes < nbytes:
-            buf = np.empty(max(1, nbytes), dtype=np.uint8)
-            bufs[dt.str] = buf
-        return buf[:nbytes].view(dt).reshape(shape)
-
-
-#: the planner-provided scratch the kernel epilogues borrow from
-KERNEL_SCRATCH = ScratchPool()

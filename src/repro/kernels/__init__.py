@@ -12,7 +12,6 @@ from repro.kernels.activation import (
     add_bias_gelu,
     gelu,
     gelu_reference,
-    gelu_tanh,
 )
 from repro.kernels.batched_gemm import batched_gemm, batched_gemm_launch
 from repro.kernels.gemm import (
@@ -71,7 +70,6 @@ __all__ = [
     "add_bias_gelu",
     "gelu",
     "gelu_reference",
-    "gelu_tanh",
     "batched_gemm",
     "batched_gemm_launch",
     "gemm",

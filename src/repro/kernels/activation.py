@@ -11,34 +11,34 @@ comparison:
   :func:`repro.kernels.gemm.gemm` with ``bias=...`` and
   ``activation="gelu"`` — no standalone kernel, no extra tensor traffic.
 
-GELU variants
--------------
-Two host formulas compute the activation; **both price as the same
-kernel** — variant selection is a numeric-plane concern only, so the
-launch stream and modelled µs are unchanged by it:
+One GELU
+--------
+:func:`apply_gelu` is the only GELU formula; every host path (the GEMM
+epilogue, both standalone kernels and the reference models) calls it.
+It computes ``x * Phi(x)`` with ``Phi = 0.5 + 0.5 * erf(x / sqrt(2))``
+and the float32 rational erf of Eigen/XLA: an odd degree-13 numerator
+over an even degree-8 denominator, argument clamped to ±4.  The
+rational is divided by its own value at the clamp and ``Phi`` is
+clipped to ``[0, 1]``, so beyond ±4·sqrt(2) ``Phi`` is exactly 1 or 0:
+GELU(x) = x and GELU(-x) = 0 there, up to ``finfo.max``.  ``Phi`` is
+always computed in float32; the final product keeps the input dtype.
+Its max |error| against float64 ``x * Phi(x)`` is below 2e-6 over the
+reals.
 
-* ``"exact"`` — ``x * Phi(x)`` via ``scipy.special.erf`` (the default,
-  bitwise-stable reference);
-* ``"tanh"`` — the tanh approximation BERT implementations ship, about
-  an order of magnitude cheaper on the host than erf; its worst-case
-  error against exact GELU is :data:`FAST_GELU_ATOL` (the documented
-  tolerance the ``fast-gelu`` preset is bench-gated against).
-
-:func:`force_gelu_variant` mirrors
-:func:`repro.attention.dispatch.force_mha_path`: the degradation ladder
-pins conservative rungs to ``"exact"`` regardless of the preset.
+The kernel walks the leading axis in :data:`GELU_BLOCK_ROWS`-row
+blocks with one small float32 temporary per call.  Only ``+ × ÷`` and
+``clip`` touch the data, and NumPy rounds those correctly in its SIMD
+and scalar loops alike, so each element's bits depend on its value
+alone — not on block size, row count, batch composition or alignment.
+That is what keeps the batched-vs-per-request bitwise oracles exact.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-from typing import Iterator
 
 import numpy as np
-from scipy.special import erf
 
-from repro.core.memory_planner import KERNEL_SCRATCH
 from repro.gpusim.kernel import ComputeUnit, KernelLaunch
 from repro.gpusim.memory import tensor_bytes
 from repro.gpusim.stream import ExecutionContext, resolve_context
@@ -46,124 +46,93 @@ from repro.gpusim.stream import ExecutionContext, resolve_context
 #: rows of the (rows x hidden) tensor processed per thread block
 _ROWS_PER_BLOCK = 4
 
-#: the host GELU formulas a preset may select
-GELU_VARIANTS = ("exact", "tanh")
+#: leading-axis rows :func:`apply_gelu` transforms per step
+GELU_BLOCK_ROWS = 32
 
-#: documented worst-case |tanh-GELU - exact-GELU| over the reals for
-#: ONE application; the maximum of the error curve sits near |x| ~ 2
-#: and is independent of scale, so this bounds the per-element error of
-#: any activation tensor.  Through a full model the error compounds at
-#: most linearly in depth (one GELU per layer, layernorm renormalises
-#: between layers), so the end-to-end bound the bench gates against is
-#: ``num_layers * FAST_GELU_ATOL``.
-FAST_GELU_ATOL = 5e-4
+#: Eigen/XLA float32 rational erf(z) = z * P(z^2) / Q(z^2), coefficients
+#: highest power first (Horner order)
+_ERF_P = tuple(
+    np.float32(c)
+    for c in (
+        -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+        -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+        -1.60960333262415e-02,
+    )
+)
+_ERF_Q = tuple(
+    np.float32(c)
+    for c in (
+        -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+        -7.37332916720468e-03, -1.42647390514189e-02,
+    )
+)
+_SQRT_HALF = np.float32(1.0 / math.sqrt(2.0))
+#: clamp on ``x`` so erf's argument ``x / sqrt(2)`` stays within ±4
+_X_CLAMP = 4.0 * math.sqrt(2.0)
 
-_forced_variant: list[str] = []
+
+def _horner(z2: np.ndarray, coeffs: tuple, out: np.ndarray) -> None:
+    np.multiply(z2, coeffs[0], out=out)
+    np.add(out, coeffs[1], out=out)
+    for c in coeffs[2:]:
+        np.multiply(out, z2, out=out)
+        np.add(out, c, out=out)
 
 
-def forced_gelu_variant() -> str | None:
-    """The innermost forced GELU variant, or ``None``."""
-    return _forced_variant[-1] if _forced_variant else None
+def _erf_into(
+    x: np.ndarray, z: np.ndarray, z2: np.ndarray, p: np.ndarray, q: np.ndarray
+) -> np.ndarray:
+    """Rational ``erf(x / sqrt(2))`` into the float32 buffer ``p``.
 
-
-@contextlib.contextmanager
-def force_gelu_variant(variant: str) -> Iterator[None]:
-    """Pin the GELU formula within the ``with`` block.
-
-    The degradation ladder uses this to hold conservative rungs on the
-    exact formula even when the serving preset is ``fast-gelu`` —
-    mirroring :func:`repro.attention.dispatch.force_mha_path`.
+    ``x`` is clamped in its own dtype before the float32 cast, so a
+    float64 input as large as ``finfo.max`` never overflows the cast.
     """
-    if variant not in GELU_VARIANTS:
-        raise ValueError(
-            f"unknown GELU variant {variant!r}; pick one of {GELU_VARIANTS}"
-        )
-    _forced_variant.append(variant)
-    try:
-        yield
-    finally:
-        _forced_variant.pop()
+    np.clip(x, -_X_CLAMP, _X_CLAMP, out=z)
+    np.multiply(z, _SQRT_HALF, out=z)
+    np.multiply(z, z, out=z2)
+    _horner(z2, _ERF_P, p)
+    _horner(z2, _ERF_Q, q)
+    np.divide(p, q, out=p)
+    np.multiply(p, z, out=p)
+    return p
 
 
-def resolve_gelu_variant(variant: str) -> str:
-    """``variant`` unless a :func:`force_gelu_variant` block overrides it."""
-    if variant not in GELU_VARIANTS:
-        raise ValueError(
-            f"unknown GELU variant {variant!r}; pick one of {GELU_VARIANTS}"
-        )
-    forced = forced_gelu_variant()
-    return forced if forced is not None else variant
+#: twice the rational erf at the clamp, where it reads 0.99999994, not
+#: 1; dividing by it makes Phi exactly 0 and 1 beyond the clamp
+_TWICE_ERF_AT_CLAMP = np.float32(2.0) * _erf_into(
+    np.array([_X_CLAMP]), *np.empty((4, 1), np.float32)
+)[0]
+
+
+def apply_gelu(x: np.ndarray, *, out: np.ndarray) -> np.ndarray:
+    """GELU of ``x`` into ``out``, which may be ``x`` itself.
+
+    Walks the leading axis in :data:`GELU_BLOCK_ROWS`-row blocks with
+    one float32 temporary of four block-sized buffers; ``Phi`` is
+    float32 whatever ``x``'s dtype, the product keeps ``out``'s.
+    """
+    if out.shape != x.shape:
+        raise ValueError(f"out shape {out.shape} != input shape {x.shape}")
+    if x.ndim > 2:
+        for i in range(x.shape[0]):
+            apply_gelu(x[i], out=out[i])
+        return out
+    x2d, out2d = np.atleast_2d(x, out)
+    rows = min(GELU_BLOCK_ROWS, x2d.shape[0])
+    scratch = np.empty((4, rows, x2d.shape[1]), np.float32)
+    for lo in range(0, x2d.shape[0], GELU_BLOCK_ROWS):
+        xb = x2d[lo:lo + GELU_BLOCK_ROWS]
+        phi = _erf_into(xb, *scratch[:, : xb.shape[0]])
+        np.divide(phi, _TWICE_ERF_AT_CLAMP, out=phi)
+        np.add(phi, 0.5, out=phi)
+        np.clip(phi, 0.0, 1.0, out=phi)
+        np.multiply(xb, phi, out=out2d[lo:lo + xb.shape[0]])
+    return out
 
 
 def gelu_reference(x: np.ndarray) -> np.ndarray:
-    """Exact GELU: ``x * Phi(x)`` with the Gaussian CDF."""
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
-
-
-def gelu_into(
-    x: np.ndarray, *, out: np.ndarray, tmp: np.ndarray
-) -> np.ndarray:
-    """:func:`gelu_reference` into caller-provided storage, bit for bit.
-
-    Runs the reference expression as the same ufunc sequence with ``out=``
-    targets, so no intermediate is allocated and the result is bitwise
-    identical (``x * 0.5`` commutes exactly with ``0.5 * x`` under IEEE
-    754).  ``out`` may alias ``x``; ``tmp`` must not alias either and
-    must match ``x``'s shape.
-    """
-    np.divide(x, math.sqrt(2.0), out=tmp)
-    erf(tmp, out=tmp)
-    np.add(tmp, 1.0, out=tmp)
-    np.multiply(x, 0.5, out=out)
-    np.multiply(out, tmp, out=out)
-    return out
-
-
-def gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """The tanh approximation of GELU used by BERT implementations.
-
-    The cube is ``(x*x)*x`` rather than ``x**3``: ``np.power`` rounds
-    differently in the last bit, and :func:`gelu_tanh_into` must be able
-    to replay this expression bitwise from plain multiplies.
-    """
-    c = math.sqrt(2.0 / math.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * ((x * x) * x))))
-
-
-def gelu_tanh_into(
-    x: np.ndarray, *, out: np.ndarray, tmp: np.ndarray
-) -> np.ndarray:
-    """:func:`gelu_tanh` into caller-provided storage, bit for bit.
-
-    The same ufunc sequence with ``out=`` targets — including the
-    ``(x*x)*x`` cube — so the two forms agree bitwise.  ``out`` may
-    alias ``x``; ``tmp`` must not alias either and must match ``x``'s
-    shape.
-    """
-    c = math.sqrt(2.0 / math.pi)
-    np.multiply(x, x, out=tmp)
-    np.multiply(tmp, x, out=tmp)
-    np.multiply(tmp, 0.044715, out=tmp)
-    np.add(x, tmp, out=tmp)
-    np.multiply(tmp, c, out=tmp)
-    np.tanh(tmp, out=tmp)
-    np.add(tmp, 1.0, out=tmp)
-    np.multiply(x, 0.5, out=out)
-    np.multiply(out, tmp, out=out)
-    return out
-
-
-def apply_gelu(
-    x: np.ndarray,
-    *,
-    out: np.ndarray,
-    tmp: np.ndarray,
-    variant: str = "exact",
-) -> np.ndarray:
-    """Dispatch to the in-place formula for ``variant`` (post-forcing)."""
-    v = resolve_gelu_variant(variant)
-    into = gelu_into if v == "exact" else gelu_tanh_into
-    return into(x, out=out, tmp=tmp)
+    """GELU ``x * Phi(x)`` of a float array, as a new array."""
+    return apply_gelu(x, out=np.empty_like(x))
 
 
 def _elementwise_launch(
@@ -244,17 +213,12 @@ def add_bias_gelu(
     *,
     ctx: ExecutionContext | None = None,
     category: str = "activation",
-    variant: str = "exact",
 ) -> np.ndarray:
     """Fused-elementwise (but not GEMM-fused) add-bias + GELU kernel.
 
     One read and one write of the tensor.  This is what a framework with
     element-wise fusion (e.g. XLA, JIT) launches after an unfused GEMM.
-    Only the result tensor is allocated — the erf/tanh temporary comes
-    from the pooled :data:`~repro.core.memory_planner.KERNEL_SCRATCH`.
-    ``variant``
-    selects the host formula; the launch descriptor is the same either
-    way (see module docstring).
+    Only the result tensor is allocated; GELU runs in place on it.
     """
     if x.ndim != 2:
         raise ValueError(f"add_bias_gelu expects a 2-D tensor, got {x.shape}")
@@ -265,9 +229,4 @@ def add_bias_gelu(
         add_bias_gelu_launch(rows, cols, category)
     )
     out = x + bias
-    return apply_gelu(
-        out,
-        out=out,
-        tmp=KERNEL_SCRATCH.take(out.shape, out.dtype),
-        variant=variant,
-    )
+    return apply_gelu(out, out=out)

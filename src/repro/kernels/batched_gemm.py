@@ -99,7 +99,6 @@ def tile_gemm(
     segment_offsets: np.ndarray,
     bias: np.ndarray | None = None,
     activation: str | None = None,
-    gelu_variant: str = "exact",
     ctx: ExecutionContext | None = None,
     name: str = "gemm",
     category: str = "gemm",
@@ -138,7 +137,6 @@ def tile_gemm(
         w,
         bias=bias,
         activation=activation,
-        gelu_variant=gelu_variant,
         ctx=ctx,
         name=name,
         category=category,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.memory_planner import KERNEL_SCRATCH
 from repro.gpusim.kernel import ComputeUnit, KernelLaunch
 from repro.gpusim.memory import BYTES_PER_ELEMENT, tensor_bytes
 from repro.gpusim.stream import ExecutionContext, resolve_context
@@ -110,7 +109,6 @@ def gemm(
     ctx: ExecutionContext | None = None,
     name: str = "gemm",
     category: str = "gemm",
-    gelu_variant: str = "exact",
 ) -> np.ndarray:
     """Compute ``a @ b`` with an optional fused bias/activation epilogue.
 
@@ -119,11 +117,8 @@ def gemm(
     bias vector read — the result tensor is transformed in registers before
     its single store, exactly the fusion of §III-C.2.
 
-    The GELU epilogue's temporary comes from the pooled
-    :data:`~repro.core.memory_planner.KERNEL_SCRATCH`, so the kernel
-    performs exactly one tensor allocation.  ``gelu_variant``
-    picks the host formula (``"exact"``/``"tanh"``); the launch
-    descriptor and modelled time are identical for both.
+    The epilogue runs in place on the GEMM result, so the result is
+    the only tensor the kernel allocates.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(
@@ -148,14 +143,9 @@ def gemm(
     # the launch descriptor below still prices the real m=1 problem.
     out = (np.concatenate([a, a], axis=0) @ b)[:1] if m == 1 else a @ b
     if bias is not None:
-        out = out + bias
+        np.add(out, bias, out=out)
     if activation == "gelu":
-        apply_gelu(
-            out,
-            out=out,
-            tmp=KERNEL_SCRATCH.take(out.shape, out.dtype),
-            variant=gelu_variant,
-        )
+        apply_gelu(out, out=out)
     if bias is not None:
         epilogue_bytes += tensor_bytes(n)
 

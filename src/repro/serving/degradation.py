@@ -5,10 +5,8 @@ A :class:`DegradationLadder` holds an ordered list of
 an attention dispatch path (``fused`` / ``zeropad`` / ``cublas`` —
 forced through :func:`repro.attention.dispatch.force_mha_path`, walking
 the fused MHA back to conservative batched-GEMM kernels) and a decode
-pricing path.  Every rung below the top also pins the exact (erf) GELU
-(see :meth:`DegradationLadder.pins_exact_gelu`).  All paths compute the
-same function, so stepping down never changes what is served under an
-exact preset.
+pricing path.  All paths compute the same function, so stepping down
+never changes what is served.
 
 The ladder trips downward when enough incidents (injected faults or
 deadline misses) land inside a sliding window, and recovers one rung at
@@ -125,19 +123,6 @@ class DegradationLadder:
     @property
     def at_top(self) -> bool:
         return self._idx == 0
-
-    def pins_exact_gelu(self, level: DegradationLevel) -> bool:
-        """Whether ``level`` serves with the exact (erf) GELU pinned.
-
-        Every rung below the top pins it via
-        :func:`repro.kernels.activation.force_gelu_variant`, even when
-        the serving preset selected ``fast-gelu``: conservative rungs
-        trade host speed for the bitwise reference numerics, the same
-        direction every other knob on the ladder steps.  Under an exact
-        preset the pin is an identity, so default serving stays bitwise
-        unchanged.
-        """
-        return level != self.levels[0]
 
     def reset(self) -> None:
         """Back to the top rung with no history (start of a fresh run)."""

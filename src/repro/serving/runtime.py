@@ -27,7 +27,6 @@ exactly that.
 
 from __future__ import annotations
 
-import contextlib
 from collections import deque
 from functools import partial
 
@@ -38,7 +37,6 @@ from repro.core.config import FUSED_MHA, BertConfig, OptimizationConfig
 from repro.core.estimator import estimate_model_graphed, estimate_model_tiled
 from repro.core.model import BertEncoderModel
 from repro.gpusim.graph import GraphCache
-from repro.kernels.activation import force_gelu_variant
 from repro.gpusim.device import A100_SPEC, DeviceSpec
 from repro.gpusim.stream import ExecutionContext, NullContext
 from repro.serving.continuous import (
@@ -286,7 +284,6 @@ class ServingRuntime:
     def _compute_batch_outputs(
         self,
         requests: list[Request],
-        level: DegradationLevel,
         *,
         max_seq_len: int | None = None,
         tile: int | None = None,
@@ -300,16 +297,7 @@ class ServingRuntime:
         plane runs over the real segments only and attention respects
         per-request segment boundaries.  Otherwise each request runs its
         own forward, in dispatch order.
-
-        Rungs below the ladder's top pin the exact GELU for the whole
-        computation — identity under exact presets, the conservative
-        fallback under ``fast-gelu``.
         """
-        pin_gelu = (
-            force_gelu_variant("exact")
-            if self.ladder.pins_exact_gelu(level)
-            else contextlib.nullcontext()
-        )
         if tile is not None and self.numerics.opt.remove_padding:
             # cross-request packing is a packed-pipeline concept; a
             # padded-preset numerics model serves per request below
@@ -320,13 +308,11 @@ class ServingRuntime:
                 max_seq_len,
                 tile,
             )
-            with pin_gelu:
-                out_tile = self.numerics.forward_packed(
-                    x_tile, mega, ctx=NullContext()
-                )
+            out_tile = self.numerics.forward_packed(
+                x_tile, mega, ctx=NullContext()
+            )
             return scatter_outputs(out_tile, mega)
-        with pin_gelu:
-            return [self._compute_output(r) for r in requests]
+        return [self._compute_output(r) for r in requests]
 
     # ------------------------------------------------------------------
 
@@ -619,7 +605,7 @@ class ServingRuntime:
                     for request, output in zip(
                         alive,
                         self._compute_batch_outputs(
-                            alive, level,
+                            alive,
                             max_seq_len=trace.max_seq_len, tile=tile,
                         ),
                     ):

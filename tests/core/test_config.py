@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import (
     BASELINE,
-    FAST_GELU,
     FUSED_MHA,
     GELU_FUSION,
     LAYERNORM_FUSION,
@@ -74,22 +73,3 @@ class TestOptimizationPresets:
         assert not BASELINE.fuse_gelu
         assert not BASELINE.remove_padding
         assert not BASELINE.fused_mha
-
-    def test_fast_gelu_rides_on_the_top_rung(self):
-        # the fast-gelu preset is FUSED_MHA plus the tanh formula: a
-        # numeric-plane opt-in, deliberately outside the bitwise ladder
-        assert FAST_GELU not in STEPWISE_PRESETS
-        assert FAST_GELU.gelu_variant == "tanh"
-        assert FAST_GELU.label == "fast-gelu"
-        for field in (
-            "fuse_layernorm", "fuse_gelu", "remove_padding", "fused_mha"
-        ):
-            assert getattr(FAST_GELU, field) == getattr(FUSED_MHA, field)
-
-    def test_default_variant_is_exact(self):
-        assert FUSED_MHA.gelu_variant == "exact"
-        assert OptimizationConfig().gelu_variant == "exact"
-
-    def test_unknown_gelu_variant_rejected(self):
-        with pytest.raises(ValueError, match="gelu_variant"):
-            OptimizationConfig(gelu_variant="relu")

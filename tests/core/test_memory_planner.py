@@ -1,7 +1,4 @@
-"""Activation-memory planner: traces, peak accounting, arena allocator,
-and the kernels' scratch pool."""
-
-import threading
+"""Activation-memory planner: traces, peak accounting, arena allocator."""
 
 import numpy as np
 import pytest
@@ -12,7 +9,6 @@ from repro.core.config import BASELINE, FUSED_MHA, RM_PADDING, BertConfig
 from repro.core.memory_planner import (
     ActivationTrace,
     ArenaAllocator,
-    ScratchPool,
     memory_report,
     peak_live_bytes,
     trace_encoder_layer,
@@ -202,34 +198,3 @@ class TestPipelineTraces:
             trace_model(two, BASELINE, workload, 128)
         )
         assert arena_two < 1.3 * arena_one
-
-
-class TestScratchPool:
-    def test_reuses_backing_across_takes(self):
-        pool = ScratchPool()
-        a = pool.take((32, 16), np.float64)
-        b = pool.take((16, 32), np.float64)  # same bytes, new shape
-        assert np.shares_memory(a, b)
-        c = pool.take((64, 64), np.float64)  # grows the high-water buf
-        assert c.shape == (64, 64)
-        d = pool.take((8, 8), np.float64)
-        assert np.shares_memory(c, d)
-
-    def test_dtypes_do_not_collide(self):
-        pool = ScratchPool()
-        a = pool.take((16,), np.float64)
-        b = pool.take((16,), np.float32)
-        assert not np.shares_memory(a, b)
-
-    def test_thread_locality(self):
-        pool = ScratchPool()
-        mine = pool.take((16,), np.float64)
-        theirs = []
-
-        def body():
-            theirs.append(pool.take((16,), np.float64))
-
-        t = threading.Thread(target=body)
-        t.start()
-        t.join()
-        assert not np.shares_memory(mine, theirs[0])

@@ -29,14 +29,6 @@ class TestLevels:
         with pytest.raises(ValueError, match="decode path"):
             DegradationLevel("x", "fused", decode_path="magic")
 
-    def test_rungs_below_top_pin_exact_gelu(self):
-        l = DegradationLadder()
-        assert [l.pins_exact_gelu(level) for level in DEFAULT_LEVELS] == [
-            False,
-            True,
-            True,
-        ]
-
 
 class TestLadder:
     def test_starts_at_top(self):

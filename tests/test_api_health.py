@@ -1,18 +1,24 @@
 """API health meta-tests: documentation and descriptor validity across the
 whole public surface.
 
-Two contracts a downstream user relies on:
+Three contracts a downstream user relies on:
 
 * every public module, class and function carries a docstring (the
   documentation deliverable, enforced);
 * every public ``*_launch`` builder produces a KernelLaunch the A100
   timing model accepts (no descriptor can silently violate device
-  limits at realistic shapes).
+  limits at realistic shapes);
+* importing the package, its CLI, serving and model never imports
+  scipy, which is a test-only dependency.
 """
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,3 +140,21 @@ class TestLaunchBuilders:
         for launch in self.builders():
             assert launch.category, launch.name
             assert launch.name, launch.category
+
+
+class TestRuntimeDependencies:
+    def test_scipy_stays_off_the_runtime_path(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, repro, repro.cli, repro.serving, repro.core.model; "
+            "print('scipy' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert done.stdout.strip() == "False"

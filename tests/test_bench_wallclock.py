@@ -212,41 +212,6 @@ def test_summary_mentions_serving(result):
     assert "serving" in format_summary(result)
 
 
-def test_fast_gelu_section(result):
-    fg = result["sections"]["fast_gelu"]
-    for key in (
-        "tile",
-        "segments",
-        "total_tokens",
-        "wall_us",
-        "reference_wall_us",
-        "speedup_vs_exact",
-        "atol_per_gelu",
-    ):
-        assert key in fg, key
-    assert fg["wall_us"] > 0
-    assert fg["atol"] == result["config"]["layers"] * fg["atol_per_gelu"]
-    assert 0 < fg["max_abs_diff"] <= fg["atol"]
-    assert fg["within_atol"] is True
-    assert fg["launch_streams_identical"] is True
-    # an accuracy gate, not a speed gate: no floor to breach
-    assert "floor" not in fg
-
-
-def test_fast_gelu_gates_always_fail_hard(result):
-    broken = json.loads(json.dumps(result))  # deep copy
-    fg = broken["sections"]["fast_gelu"]
-    fg["within_atol"] = False
-    fg["launch_streams_identical"] = False
-    failures = check_invariants(broken)
-    assert any("fast-gelu" in f and "atol" in f for f in failures)
-    assert any("fast-gelu changed the launch stream" in f for f in failures)
-
-
-def test_summary_mentions_fast_gelu(result):
-    assert "fast-gelu" in format_summary(result)
-
-
 def test_no_host_fan_out_section(result):
     assert "host_parallel" not in result["sections"]
     assert "workers" not in result["config"]
